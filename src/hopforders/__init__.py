@@ -15,7 +15,7 @@ from .families import (AgreementReport, Disagreement, Family, OrderRecord,
                        default_depth, enumerate_orders, family_matrix,
                        oracle_check_family, oracle_is_order, predicate,
                        rank1_orders, theta_for_record)
-from .cli import parse_element, parse_field_spec, parse_matrix
+from .parse import parse_element, parse_field_spec, parse_matrix
 
 __version__ = "0.1.0"
 

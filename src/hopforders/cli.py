@@ -1,11 +1,4 @@
-"""Command-line surface: parse field specs, elements, matrices; run checks.
-
-Grammar (whitespace-insensitive):
-  field spec   p=<prime>  or  p=<prime>;k=<deg>;mod=<poly in a>
-  element      expressions in the uniformizer T over F_q with + - * / ^ ( ),
-               integer coefficients (k = 1) or polynomials in a (k > 1);
-               T^-2 is sugar for 1/T^2
-  matrix       [entry,entry;entry,entry]  (rows by ';', entries by ',')
+"""Command-line surface: parse arguments with hopforders.parse; run checks.
 
 Any matrix or element argument may be @file, reading the same grammar from a
 UTF-8 text file.  Exit codes: 0 mathematical yes/success, 1 mathematical no,
@@ -21,315 +14,11 @@ from pathlib import Path
 
 from .families import (Family, RANK_P2_FAMILIES, enumerate_orders, family_matrix,
                        oracle_check_family, rank1_orders, theta_for_record)
-from .fields import FieldSpec
-from .matrix import Mat, SingularMatrixError
+from .matrix import SingularMatrixError
 from .orders import (NotIntegralError, ddl_normalize, embedding_generators,
                      is_ddl, order_from_theta, presentation_from_matrix,
                      same_order, special_fibre, verify_twisted_equation)
-from .ratfunc import RatFunc
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, position: int | None = None):
-        self.position = position
-        if position is not None:
-            message = f"{message} at position {position}"
-        super().__init__(message)
-
-
-# -- tokenizer --
-
-_OPS = set("+-*/^()")
-
-
-def _tokenize(src: str):
-    tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            start = i
-            while i < n and src[i].isdigit():
-                i += 1
-            tokens.append(("num", int(src[start:i]), start))
-            continue
-        if c in ("T", "a"):
-            tokens.append(("name", c, i))
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
-
-
-class _ElementParser:
-    """Recursive descent over the element grammar, evaluating in K."""
-
-    def __init__(self, src: str, spec: FieldSpec):
-        self.src = src
-        self.spec = spec
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, at = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", at)
-
-    def parse(self) -> RatFunc:
-        value = self.expr()
-        kind, _, at = self.peek()
-        if kind != "end":
-            raise ParseError("trailing input", at)
-        return value
-
-    def expr(self) -> RatFunc:
-        value = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                value = value + rhs if val == "+" else value - rhs
-            else:
-                return value
-
-    def term(self) -> RatFunc:
-        value = self.unary()
-        while True:
-            kind, val, at = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                if val == "*":
-                    value = value * rhs
-                else:
-                    if rhs.is_zero():
-                        raise ParseError("division by zero", at)
-                    value = value / rhs
-            else:
-                return value
-
-    def unary(self) -> RatFunc:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return -self.unary()
-        return self.power()
-
-    def power(self) -> RatFunc:
-        base = self.atom()
-        kind, val, at = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            e = self.signed_int()
-            if base.is_zero() and e < 0:
-                raise ParseError("zero raised to a negative power", at)
-            return base ** e
-        return base
-
-    def signed_int(self) -> int:
-        kind, val, at = self.next()
-        if kind == "op" and val == "-":
-            kind, val, at = self.next()
-            if kind != "num":
-                raise ParseError("expected an integer exponent", at)
-            return -val
-        if kind != "num":
-            raise ParseError("expected an integer exponent", at)
-        return val
-
-    def atom(self) -> RatFunc:
-        kind, val, at = self.next()
-        if kind == "num":
-            return RatFunc.constant(self.spec, val)
-        if kind == "name":
-            if val == "T":
-                return RatFunc.pi_power(self.spec, 1)
-            if self.spec.k == 1:
-                raise ParseError("symbol 'a' needs an extension field (k > 1)", at)
-            return RatFunc.constant(self.spec, self.spec.gen)
-        if kind == "op" and val == "(":
-            value = self.expr()
-            self.expect_op(")")
-            return value
-        raise ParseError("expected a value", at)
-
-
-def parse_element(src: str, spec: FieldSpec) -> RatFunc:
-    """Parse the element grammar into a canonical RatFunc."""
-    return _ElementParser(src, spec).parse()
-
-
-def parse_matrix(src: str, spec: FieldSpec) -> Mat:
-    """Parse [e,e;e,e] into a square matrix."""
-    text = src.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("matrix must be wrapped in [ ... ]", 0)
-    body = text[1:-1]
-    if not body.strip():
-        raise ParseError("empty matrix", 1)
-    rows = body.split(";")
-    parsed = []
-    width = None
-    for r, row_src in enumerate(rows):
-        entries = row_src.split(",")
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise ParseError(f"ragged matrix: row {r + 1} has {len(entries)} "
-                             f"entries, expected {width}")
-        parsed_row = []
-        for c, entry_src in enumerate(entries):
-            try:
-                parsed_row.append(parse_element(entry_src, spec))
-            except ParseError as exc:
-                raise ParseError(f"entry ({r + 1},{c + 1}): {exc}") from exc
-        parsed.append(parsed_row)
-    if len(parsed) != width:
-        raise ParseError(f"matrix must be square, got {len(parsed)}x{width}")
-    return Mat(parsed)
-
-
-def _parse_a_poly(src: str, p: int) -> list[int]:
-    """Parse a modulus polynomial in `a` over F_p into coefficient ints."""
-    tokens = _tokenize(src)
-    pos = 0
-
-    def nxt():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def peek():
-        return tokens[pos]
-
-    def padd(x, y):
-        out = [0] * max(len(x), len(y))
-        for i, c in enumerate(x):
-            out[i] += c
-        for i, c in enumerate(y):
-            out[i] += c
-        return [c % p for c in out]
-
-    def pneg(x):
-        return [(-c) % p for c in x]
-
-    def pmul(x, y):
-        out = [0] * (len(x) + len(y) - 1 or 1)
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                out[i + j] += xi * yj
-        return [c % p for c in out]
-
-    def atom():
-        kind, val, at = nxt()
-        if kind == "num":
-            return [val % p]
-        if kind == "name" and val == "a":
-            return [0, 1]
-        if kind == "op" and val == "(":
-            v = expr()
-            kind, val, at = nxt()
-            if kind != "op" or val != ")":
-                raise ParseError("expected ')'", at)
-            return v
-        raise ParseError("expected a modulus term", at)
-
-    def power():
-        base = atom()
-        kind, val, _ = peek()
-        if kind == "op" and val == "^":
-            nxt()
-            kind, e, at = nxt()
-            if kind != "num":
-                raise ParseError("expected an integer exponent", at)
-            out = [1]
-            for _ in range(e):
-                out = pmul(out, base)
-            return out
-        return base
-
-    def term():
-        value = power()
-        while True:
-            kind, val, _ = peek()
-            if kind == "op" and val == "*":
-                nxt()
-                value = pmul(value, power())
-            else:
-                return value
-
-    def expr():
-        kind, val, _ = peek()
-        negate = False
-        if kind == "op" and val == "-":
-            nxt()
-            negate = True
-        value = term()
-        if negate:
-            value = pneg(value)
-        while True:
-            kind, val, _ = peek()
-            if kind == "op" and val in "+-":
-                nxt()
-                rhs = term()
-                value = padd(value, rhs if val == "+" else pneg(rhs))
-            else:
-                return value
-
-    result = expr()
-    kind, _, at = peek()
-    if kind != "end":
-        raise ParseError("trailing input in modulus", at)
-    return result
-
-
-def parse_field_spec(text: str) -> FieldSpec:
-    """Parse "p=2" or "p=2;k=2;mod=a^2+a+1"."""
-    parts = [part.strip() for part in text.strip().split(";") if part.strip()]
-    fields: dict[str, str] = {}
-    for part in parts:
-        if "=" not in part:
-            raise ParseError(f"bad field-spec fragment {part!r}")
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key in fields:
-            raise ParseError(f"duplicate field-spec key {key!r}")
-        fields[key] = value.strip()
-    unknown = set(fields) - {"p", "k", "mod"}
-    if unknown:
-        raise ParseError(f"unknown field-spec keys {sorted(unknown)}")
-    if "p" not in fields:
-        raise ParseError("field spec needs p=<prime>")
-    try:
-        p = int(fields["p"])
-        k = int(fields.get("k", "1"))
-    except ValueError as exc:
-        raise ParseError(f"bad integer in field spec: {exc}") from exc
-    modulus = None
-    if "mod" in fields:
-        modulus = _parse_a_poly(fields["mod"], p)
-    try:
-        return FieldSpec(p, k, modulus)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+from .parse import ParseError, parse_element, parse_field_spec, parse_matrix
 
 
 def _parse_range(text: str) -> range:

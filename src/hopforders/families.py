@@ -16,6 +16,7 @@ bijection with orders of bounded depth.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -235,14 +236,6 @@ def _values(rng_desc: str, values: Iterable[int]) -> tuple[int, ...]:
     return vals
 
 
-def _cells(family: Family, i_values, j_values):
-    for i in i_values:
-        for j in j_values:
-            if family is Family.ZP_SQUARED and (i < 0 or j < 0):
-                continue  # this family's predicate requires i, j >= 0
-            yield i, j
-
-
 def _theta_from_coeffs(spec: FieldSpec, coeffs: list[FqElem], j: int, depth: int) -> RatFunc | None:
     """Canonical Laurent theta from sweep digits at exponents [j-depth, j)."""
     lo = next((d for d, c in enumerate(coeffs) if c), None)
@@ -268,10 +261,6 @@ def _record_from_row(family: Family, spec: FieldSpec, fq: list[FqElem],
     if theta is None:
         return None
     return OrderRecord(family, spec.p, i, j, theta)
-
-
-def _pi_j_record(family: Family, spec: FieldSpec, i: int, j: int) -> OrderRecord:
-    return OrderRecord(family, spec.p, i, j, RatFunc.pi_power(spec, j))
 
 
 def default_depth(p: int) -> int:
@@ -338,27 +327,6 @@ class BatchMismatchError(RuntimeError):
     """The vectorized sweep disagreed with the object-level path (a bug)."""
 
 
-def _check_family_rank_p2(family: Family) -> Family:
-    family = Family(family)
-    if family not in RANK_P2_FAMILIES:
-        raise ValueError(f"{family} is not a rank-p^2 matrix family")
-    return family
-
-
-def _cross_check_rows(family, spec, fq, rows, i, j, depth, orc, prd, pred_fn):
-    for row in rows:
-        rec = _record_from_row(family, spec, fq, int(row), i, j, depth)
-        if rec is None:
-            continue
-        g_orc = oracle_is_order(rec)
-        g_prd = pred_fn(rec)
-        if g_orc != bool(orc[row]) or g_prd != bool(prd[row]):
-            raise BatchMismatchError(
-                f"batch/object mismatch at {rec.to_json()}: "
-                f"object oracle={g_orc} predicate={g_prd}, "
-                f"batch oracle={bool(orc[row])} predicate={bool(prd[row])}")
-
-
 def _sample_rows(n: int, spot: int, seed_parts) -> list[int]:
     rng = random.Random("|".join(str(s) for s in seed_parts))
     rows = {1, n - 1}
@@ -367,140 +335,145 @@ def _sample_rows(n: int, spot: int, seed_parts) -> list[int]:
     return sorted(rows)
 
 
+def _disputed(orc, prd):
+    """The points a sweep reports, on verdict arrays or single verdicts: those
+    the oracle accepts when there is no predicate, else the disagreements."""
+    return orc if prd is None else orc != prd
+
+
+def _decide(rec: OrderRecord, pred_fn) -> tuple[OrderRecord, bool, bool | None]:
+    """One point on the object path: (record, oracle verdict, predicate verdict)."""
+    return rec, oracle_is_order(rec), None if pred_fn is None else pred_fn(rec)
+
+
+def _predicate_column(grid, family: Family, pred_fn, record) -> np.ndarray:
+    if pred_fn is predicate:
+        return _batch.predicate_verdicts(grid, family.value)
+    if pred_fn is alpha_p2_loose_predicate:
+        return _batch.loose_alpha_p2_verdicts(grid)
+    return np.array([False] + [pred_fn(record(row)) for row in range(1, grid.n)], dtype=bool)
+
+
+def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
+    """The one pass over the (i, j, theta) grid behind both public sweeps.
+
+    Validates the grid and returns (family, depth, i_values, j_values, cells);
+    `cells` yields, per (i, j) cell, the number of points covered (theta rows
+    plus T^j) and (record, oracle, predicate) for each point `_disputed`
+    selects, in row order with T^j last.
+
+    Prime fields run the numpy kernel, and with checks = (limit, spot, tag)
+    the object path re-decides every row of a cell with at most `limit` rows,
+    else `spot` rows seeded by (family, p, i, j, depth, tag), plus every
+    disagreement when a predicate is checked; any difference raises
+    BatchMismatchError.  Extension fields run the object path at every point.
+    """
+    family = Family(family)
+    if family not in RANK_P2_FAMILIES:
+        raise ValueError(f"{family} is not a rank-p^2 matrix family")
+    if depth is None:
+        depth = default_depth(spec.p)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    i_values = _values("i", i_range)
+    j_values = _values("j", j_range)
+    fq = list(spec.elements())
+    bint = [[0, 0], [0, 0]] if family is Family.ALPHA_P_N else _FAMILY_B[family]
+    limit, spot, tag = checks
+
+    def theta_rows(i, j):
+        def record(row):
+            return _record_from_row(family, spec, fq, int(row), i, j, depth)
+
+        if spec.k > 1:
+            decided = (_decide(record(row), pred_fn) for row in range(1, spec.q ** depth))
+            return [d for d in decided if _disputed(d[1], d[2])]
+        grid = _batch.CellGrid(spec.p, i, j, depth)
+        orc = _batch.oracle_verdicts(grid, bint)
+        prd = None if pred_fn is None else _predicate_column(grid, family, pred_fn, record)
+        disputed = np.nonzero(_disputed(orc, prd)[1:])[0] + 1
+        if grid.n - 1 <= limit:
+            rows = range(1, grid.n)
+        else:
+            rows = _sample_rows(grid.n, spot, (family.value, spec.p, i, j, depth, tag))
+        if prd is not None:
+            rows = sorted(set(rows).union(disputed.tolist()))
+        decided = {}
+        for row in rows:
+            rec, *verdicts = decided[row] = _decide(record(row), pred_fn)
+            batch = [bool(orc[row]), None if prd is None else bool(prd[row])]
+            if verdicts != batch:
+                raise BatchMismatchError(f"batch/object mismatch at {rec.to_json()}: (oracle, "
+                                         f"predicate) = {verdicts} object, {batch} batch")
+        if prd is not None:
+            return [decided[row] for row in disputed]
+        return [(record(row), True, None) for row in disputed]  # sample-checked above
+
+    def cells():
+        for i, j in itertools.product(i_values, j_values):
+            if family is Family.ZP_SQUARED and (i < 0 or j < 0):
+                continue  # this family's predicate requires i, j >= 0
+            disputed = theta_rows(i, j)
+            rec_pj = _decide(OrderRecord(family, spec.p, i, j, RatFunc.pi_power(spec, j)), pred_fn)
+            if _disputed(rec_pj[1], rec_pj[2]):
+                disputed.append(rec_pj)
+            yield spec.q ** depth, disputed
+
+    return family, depth, i_values, j_values, cells()
+
+
+def _witness(rec: OrderRecord) -> Witness | None:
+    try:
+        order_from_theta(family_matrix(rec.family, rec.theta.spec, 2), theta_for_record(rec))
+    except NotIntegralError as exc:
+        return exc.witness
+    return None
+
+
 def oracle_check_family(family: Family, spec: FieldSpec,
                         i_range: Iterable[int], j_range: Iterable[int],
                         depth: int | None = None,
                         predicate_fn: Callable[[OrderRecord], bool] | None = None,
                         spot_checks: int = 64,
-                        exhaustive_limit: int = 4096,
-                        use_batch: bool | None = None) -> AgreementReport:
+                        exhaustive_limit: int = 4096) -> AgreementReport:
     """Compare predicate vs oracle at every grid point; report disagreements.
 
-    For prime coefficient fields the sweep runs on the vectorized kernels and
-    is cross-checked against the object-level oracle/predicate, exhaustively
-    when a cell has at most `exhaustive_limit` points and on `spot_checks`
-    seeded samples otherwise; a mismatch raises BatchMismatchError.  A custom
-    predicate_fn is evaluated per point (meant for small grids).
+    The field decides the path.  Prime fields run the vectorized kernels,
+    cross-checked against the object-level oracle/predicate exhaustively when
+    a cell has at most `exhaustive_limit` points and on `spot_checks` seeded
+    samples otherwise; every disagreement is confirmed on the object path and
+    a mismatch raises BatchMismatchError.  Extension fields run the object
+    path at every point.  A custom predicate_fn is evaluated per point (meant
+    for small grids).
     """
-    family = _check_family_rank_p2(family)
-    p = spec.p
-    if depth is None:
-        depth = default_depth(p)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    i_values = _values("i", i_range)
-    j_values = _values("j", j_range)
-    if use_batch is None:
-        use_batch = spec.k == 1
-    pred_fn = predicate_fn if predicate_fn is not None else predicate
-    fq = list(spec.elements())
-    bint = [[0, 0], [0, 0]] if family is Family.ALPHA_P_N else _FAMILY_B[family]
-
+    family, depth, i_values, j_values, cells = _sweep(
+        family, spec, i_range, j_range, depth,
+        predicate_fn if predicate_fn is not None else predicate,
+        (exhaustive_limit, spot_checks, "chk"))
     total = 0
-    agreements = 0
     disagreements: list[Disagreement] = []
-
-    def _observe(rec: OrderRecord, g_orc: bool, g_prd: bool):
-        nonlocal total, agreements
-        total += 1
-        if g_orc == g_prd:
-            agreements += 1
-        else:
-            witness = None
-            if not g_orc:
-                try:
-                    order_from_theta(family_matrix(family, spec, 2), theta_for_record(rec))
-                except NotIntegralError as exc:
-                    witness = exc.witness
-            disagreements.append(Disagreement(rec, g_prd, g_orc, witness))
-
-    for i, j in _cells(family, i_values, j_values):
-        if use_batch:
-            grid = _batch.CellGrid(p, i, j, depth)
-            orc = _batch.oracle_verdicts(grid, bint)
-            if predicate_fn is None:
-                prd = _batch.predicate_verdicts(grid, family.value)
-            elif predicate_fn is alpha_p2_loose_predicate:
-                prd = _batch.loose_alpha_p2_verdicts(grid)
-            else:
-                prd = np.zeros(grid.n, dtype=bool)
-                for row in range(1, grid.n):
-                    rec = _record_from_row(family, spec, fq, row, i, j, depth)
-                    prd[row] = pred_fn(rec)
-            if grid.n - 1 <= exhaustive_limit:
-                rows = range(1, grid.n)
-            else:
-                rows = _sample_rows(grid.n, spot_checks,
-                                    (family.value, p, i, j, depth, "chk"))
-            _cross_check_rows(family, spec, fq, rows, i, j, depth, orc, prd, pred_fn)
-            diff_rows = np.nonzero(orc[1:] != prd[1:])[0] + 1
-            agree_cell = (grid.n - 1) - len(diff_rows)
-            total += agree_cell
-            agreements += agree_cell
-            for row in diff_rows:
-                rec = _record_from_row(family, spec, fq, int(row), i, j, depth)
-                g_orc = oracle_is_order(rec)
-                g_prd = pred_fn(rec)
-                if g_orc != bool(orc[row]) or g_prd != bool(prd[row]):
-                    raise BatchMismatchError(f"batch/object mismatch at {rec.to_json()}")
-                _observe(rec, g_orc, g_prd)
-        else:
-            for row in range(1, spec.q ** depth):
-                rec = _record_from_row(family, spec, fq, row, i, j, depth)
-                _observe(rec, oracle_is_order(rec), pred_fn(rec))
-        rec_pj = _pi_j_record(family, spec, i, j)
-        _observe(rec_pj, oracle_is_order(rec_pj), pred_fn(rec_pj))
-
-    return AgreementReport(family, p, depth, i_values, j_values,
-                           total, agreements, tuple(disagreements))
+    for points, disputed in cells:
+        total += points
+        disagreements.extend(Disagreement(rec, g_prd, g_orc, None if g_orc else _witness(rec))
+                             for rec, g_orc, g_prd in disputed)
+    return AgreementReport(family, spec.p, depth, i_values, j_values,
+                           total, total - len(disagreements), tuple(disagreements))
 
 
 def enumerate_orders(family: Family, spec: FieldSpec,
                      i_range: Iterable[int], j_range: Iterable[int],
-                     depth: int | None = None,
-                     use_batch: bool | None = None) -> list[OrderRecord]:
+                     depth: int | None = None) -> list[OrderRecord]:
     """All orders in the grid passing the oracle, one canonical record each.
 
     The sweep covers theta = T^j plus every nonzero Laurent polynomial
     supported on [j - depth, j); distinct canonical records are distinct
-    orders, so no further dedupe is needed.  Deterministic order: (i, j,
-    canonical theta).
+    orders, so no further dedupe is needed.  On prime fields the kernel's
+    verdicts are spot-checked on 16 seeded rows per cell.  Deterministic
+    order: (i, j, canonical theta).
     """
-    family = _check_family_rank_p2(family)
-    p = spec.p
-    if depth is None:
-        depth = default_depth(p)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    i_values = _values("i", i_range)
-    j_values = _values("j", j_range)
-    if use_batch is None:
-        use_batch = spec.k == 1
-    fq = list(spec.elements())
-    bint = [[0, 0], [0, 0]] if family is Family.ALPHA_P_N else _FAMILY_B[family]
-
-    records: list[OrderRecord] = []
-    for i, j in _cells(family, i_values, j_values):
-        if use_batch:
-            grid = _batch.CellGrid(p, i, j, depth)
-            orc = _batch.oracle_verdicts(grid, bint)
-            rows = _sample_rows(grid.n, 16, (family.value, p, i, j, depth, "enum"))
-            for row in rows:
-                rec = _record_from_row(family, spec, fq, row, i, j, depth)
-                if rec is not None and oracle_is_order(rec) != bool(orc[row]):
-                    raise BatchMismatchError(f"batch/object mismatch at {rec.to_json()}")
-            for row in np.nonzero(orc[1:])[0] + 1:
-                records.append(_record_from_row(family, spec, fq, int(row), i, j, depth))
-        else:
-            for row in range(1, spec.q ** depth):
-                rec = _record_from_row(family, spec, fq, row, i, j, depth)
-                if oracle_is_order(rec):
-                    records.append(rec)
-        rec_pj = _pi_j_record(family, spec, i, j)
-        if oracle_is_order(rec_pj):
-            records.append(rec_pj)
-    records.sort(key=OrderRecord.sort_key)
-    return records
+    *_, cells = _sweep(family, spec, i_range, j_range, depth, None, (0, 16, "enum"))
+    return sorted((rec for _, disputed in cells for rec, _, _ in disputed),
+                  key=OrderRecord.sort_key)
 
 
 # -- rank p --

@@ -9,13 +9,15 @@ in-run cross-checks the sweep already performs).
 import numpy as np
 import pytest
 
-from hopforders import _batch
-from hopforders.families import (Family, _record_from_row, enumerate_orders,
-                                 oracle_check_family, oracle_is_order,
-                                 predicate)
+from hopforders import _batch, families
+from hopforders.families import (Family, OrderRecord, _record_from_row,
+                                 enumerate_orders, oracle_check_family,
+                                 oracle_is_order, predicate)
 from hopforders.fields import FieldSpec
 
-from helpers import F2, F3, F5
+from helpers import F2, F3, F4, F5, brute_force_points
+
+F7 = FieldSpec(7)
 
 MATRIX_FAMILIES = [Family.ALPHA_P_N, Family.ALPHA_P2, Family.ZP_X_AP,
                    Family.ZP_SQUARED, Family.MONO_P2]
@@ -29,19 +31,22 @@ B_INTS = {
 }
 
 
-@pytest.mark.parametrize("spec", [F2, F3, F5])
+@pytest.mark.parametrize("spec", [F2, F3, F5, F7])
 @pytest.mark.parametrize("family", MATRIX_FAMILIES)
 def test_full_grid_oracle_equivalence(spec, family):
     p = spec.p
-    depth = 3 if p == 2 else 2
+    cases = [(3 if p == 2 else 2, (-1, 0, 2, 5))]
+    if p == 3:
+        cases.append((3, (-3, -1)))     # negative i at depth 3
     fq = list(spec.elements())
-    for i in (-1, 0, 2, 5):
-        for j in (-2, 0, 1, 3):
-            grid = _batch.CellGrid(p, i, j, depth)
-            fast = _batch.oracle_verdicts(grid, B_INTS[family])
-            for row in range(1, grid.n):
-                rec = _record_from_row(family, spec, fq, row, i, j, depth)
-                assert oracle_is_order(rec) == bool(fast[row]), rec.to_json()
+    for depth, i_values in cases:
+        for i in i_values:
+            for j in (-2, 0, 1, 3):
+                grid = _batch.CellGrid(p, i, j, depth)
+                fast = _batch.oracle_verdicts(grid, B_INTS[family])
+                for row in range(1, grid.n):
+                    rec = _record_from_row(family, spec, fq, row, i, j, depth)
+                    assert oracle_is_order(rec) == bool(fast[row]), rec.to_json()
 
 
 @pytest.mark.parametrize("spec", [F2, F3])
@@ -72,28 +77,25 @@ def test_grid_valuations_match_records():
 
 def test_enumerate_batch_matches_generic():
     for family in MATRIX_FAMILIES:
-        fast = enumerate_orders(family, F2, range(-1, 3), range(-1, 3),
-                                depth=3, use_batch=True)
-        slow = enumerate_orders(family, F2, range(-1, 3), range(-1, 3),
-                                depth=3, use_batch=False)
+        fast = enumerate_orders(family, F2, range(-1, 3), range(-1, 3), depth=3)
+        slow = sorted((r for r, orc, _ in brute_force_points(
+            family, F2, range(-1, 3), range(-1, 3), 3) if orc),
+            key=OrderRecord.sort_key)
         assert fast == slow
 
 
 def test_report_batch_matches_generic_with_disagreements():
     from hopforders.families import alpha_p2_loose_predicate
     fast = oracle_check_family(Family.ALPHA_P2, F2, range(0, 3), range(0, 3),
-                               depth=3, predicate_fn=alpha_p2_loose_predicate,
-                               use_batch=True)
-    slow = oracle_check_family(Family.ALPHA_P2, F2, range(0, 3), range(0, 3),
-                               depth=3, predicate_fn=alpha_p2_loose_predicate,
-                               use_batch=False)
-    assert fast.total == slow.total
-    assert fast.agreements == slow.agreements
-    assert [d.record for d in fast.disagreements] == [d.record for d in slow.disagreements]
+                               depth=3, predicate_fn=alpha_p2_loose_predicate)
+    slow = brute_force_points(Family.ALPHA_P2, F2, range(0, 3), range(0, 3), 3,
+                              alpha_p2_loose_predicate)
+    assert fast.total == len(slow)
+    assert fast.agreements == sum(orc == prd for _, orc, prd in slow)
+    assert [d.record for d in fast.disagreements] == [r for r, orc, prd in slow if orc != prd]
 
 
 def test_extension_fields_use_generic_path():
-    F4 = FieldSpec(2, 2, (1, 1, 1))
     F9 = FieldSpec(3, 2, (1, 0, 1))
     for family in (Family.ZP_SQUARED, Family.MONO_P2):
         report = oracle_check_family(family, F4, range(0, 3), range(0, 2), depth=2)
@@ -107,3 +109,37 @@ def test_batch_rejects_unknown_family():
     grid = _batch.CellGrid(2, 0, 0, 2)
     with pytest.raises(ValueError):
         _batch.predicate_verdicts(grid, "rank1_local")
+
+
+def _count_calls(monkeypatch, owner, name, fn=None):
+    calls = []
+    fn = fn or getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_cross_check_policy_call_counts(monkeypatch):
+    # The closed form stands in for the oracle, which it matches on every
+    # grid tested here, so a 4095-row cell costs milliseconds; only the
+    # number of calls matters.
+    calls = _count_calls(monkeypatch, families, "oracle_is_order", predicate)
+    for depth, expected in ((12, 4095), (13, 64)):     # 2^12 - 1 <= 4096 < 2^13 - 1
+        calls.clear()
+        report = oracle_check_family(Family.ALPHA_P2, F2, [3], [2], depth=depth)
+        assert report.all_agree and report.total == 2 ** depth
+        assert len(calls) == expected + 1               # plus the T^j record
+    calls.clear()
+    records = enumerate_orders(Family.ALPHA_P2, F2, [3], [2], depth=13)
+    assert records and len(calls) == 16 + 1
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4])
+def test_kernel_runs_exactly_on_prime_fields(monkeypatch, spec):
+    grids = _count_calls(monkeypatch, _batch, "CellGrid")
+    oracle_check_family(Family.MONO_P2, spec, [0, 1], [0], depth=2)
+    enumerate_orders(Family.MONO_P2, spec, [0, 1], [0], depth=2)
+    assert len(grids) == (4 if spec.k == 1 else 0)

@@ -1,11 +1,15 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hopforders.cli import (ParseError, main, parse_element, parse_field_spec,
                             parse_matrix)
 from hopforders.matrix import Mat
+from hopforders.parse import MAX_DEGREE, MAX_NESTING
 from hopforders.ratfunc import Poly, RatFunc
 
 from helpers import F2, F3, F4, F5, pi, rand_mat, rand_ratfunc
@@ -24,9 +28,22 @@ def test_parse_field_spec():
 
 def test_parse_field_spec_errors():
     for bad in ["", "p=4", "q=2", "p=2;k=2", "p=2;k=2;mod=a^2+1",
-                "p=2;p=3", "p=x", "p=2;k=2;mod=a^2+a+1;extra=1"]:
+                "p=2;p=3", "p=x", "p=2;k=2;mod=a^2+a+1;extra=1",
+                "p=0;k=2;mod=a^2+a+1", "p=2;k=2;mod=T^2+T+1"]:
         with pytest.raises(ParseError):
             parse_field_spec(bad)
+
+
+def test_parse_field_spec_modulus_messages():
+    with pytest.raises(ParseError, match="p must be a prime"):
+        parse_field_spec("p=0;k=2;mod=a^2+a+1")
+    with pytest.raises(ParseError, match="symbol 'T'"):
+        parse_field_spec("p=2;k=2;mod=T^2+T+1")
+    with pytest.raises(ParseError, match="polynomial in a"):
+        parse_field_spec("p=2;k=2;mod=a^2+a+1/a")
+    # the modulus goes through the element grammar over F_p
+    assert parse_field_spec("p=2;k=2;mod=(a+1)*a+1") == F4
+    assert parse_field_spec("p=2;k=2;mod=a^2+a+1+a^3-a^3") == F4
 
 
 # -- elements --
@@ -68,6 +85,36 @@ def test_parse_element_errors():
         parse_element("%", F2)
     with pytest.raises(ParseError):
         parse_element("0^-1", F3)
+
+
+def test_parser_limits():
+    deep = "(" * 300 + "T" + ")" * 300
+    with pytest.raises(ParseError, match="MAX_NESTING"):
+        parse_element(deep, F2)
+    ok = "(" * MAX_NESTING + "T" + ")" * MAX_NESTING
+    assert parse_element(ok, F2) == pi(F2)
+    assert parse_element("-" * 1000 + "T", F3) == pi(F3)     # unary minus does not nest
+    with pytest.raises(ParseError, match="MAX_DEGREE"):
+        parse_element("T^100000000", F2)
+    with pytest.raises(ParseError, match="MAX_DEGREE"):
+        parse_element(f"T^-{MAX_DEGREE + 1}", F2)
+    with pytest.raises(ParseError, match="MAX_DEGREE"):
+        parse_element(f"T^{MAX_DEGREE} * T", F2)
+    assert parse_element(f"T^{MAX_DEGREE}", F2).val == MAX_DEGREE
+
+
+def test_parser_limits_exit_2(capsys):
+    deep = "(" * 300 + "T" + ")" * 300
+    for argv in (
+        ["check", "--field", "p=2", "--B", "[0,1;0,0]", "--theta", f"[{deep},0;0,1]"],
+        ["fibre", "--field", "p=2;k=2;mod=" + "(" * 300 + "a^2+a+1" + ")" * 300,
+         "--A", "[1]"],
+        ["rank1", "--field", "p=2", "--b", "T^100000000", "--i", "0"],
+        ["fibre", "--field", "p=2;k=2;mod=a^2+a+1+a^100000000-a^100000000",
+         "--A", "[1]"],
+    ):
+        assert main(argv) == 2
+        assert "MAX_" in capsys.readouterr().err
 
 
 def test_element_roundtrip_random():
@@ -258,3 +305,16 @@ def test_parse_failures_never_exit_0_or_1(capsys):
     ):
         assert main(argv) == 2
     capsys.readouterr()
+
+
+def test_module_entry_point_is_quiet():
+    # README example through `python -m hopforders.cli`: no runpy warning
+    import hopforders
+    env = {"PYTHONPATH": str(Path(hopforders.__file__).parents[1]), "PATH": ""}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopforders.cli", "check", "--field", "p=2",
+         "--B", WORKED_B, "--theta", WORKED_THETA],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "integral: yes" in proc.stdout
