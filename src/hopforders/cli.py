@@ -50,10 +50,6 @@ def _resolve(arg: str) -> str:
 
 # -- commands --
 
-def _fibre_json(A):
-    return special_fibre(A).to_json()
-
-
 def _cmd_check(args) -> int:
     spec = parse_field_spec(args.field)
     B = parse_matrix(_resolve(args.B), spec)
@@ -218,30 +214,19 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in flags.items():
             p.add_argument(f"--{flag}", **kwargs)
         p.set_defaults(fn=fn)
-        return p
 
     req = {"required": True}
     add("check", _cmd_check, field=req, B=req, theta=req,
         json={"action": "store_true"})
     add("verify", _cmd_verify, field=req, theta=req, A=req, B=req)
     add("normalize", _cmd_normalize, field=req, theta=req)
-    p_same = sub.add_parser("same-order")
-    p_same.add_argument("--field", required=True)
-    p_same.add_argument("--theta", required=True)
-    p_same.add_argument("--theta2", required=True)
-    p_same.set_defaults(fn=_cmd_same_order)
+    add("same-order", _cmd_same_order, field=req, theta=req, theta2=req)
     add("fibre", _cmd_fibre, field=req, A=req)
     add("present", _cmd_present, field=req, A=req)
-    add("enumerate", _cmd_enumerate, family=req, field=req, i=req, j=req,
-        depth={"type": int, "default": None}, json={"action": "store_true"})
-    p_oc = sub.add_parser("oracle-check")
-    p_oc.add_argument("--family", required=True)
-    p_oc.add_argument("--field", required=True)
-    p_oc.add_argument("--i", required=True)
-    p_oc.add_argument("--j", required=True)
-    p_oc.add_argument("--depth", type=int, default=None)
-    p_oc.add_argument("--json", action="store_true")
-    p_oc.set_defaults(fn=_cmd_oracle_check)
+    sweep = dict(family=req, field=req, i=req, j=req,
+                 depth={"type": int, "default": None}, json={"action": "store_true"})
+    add("enumerate", _cmd_enumerate, **sweep)
+    add("oracle-check", _cmd_oracle_check, **sweep)
     add("rank1", _cmd_rank1, field=req, b=req, i={"type": int, "required": True})
     return parser
 

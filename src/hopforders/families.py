@@ -263,8 +263,14 @@ def _record_from_row(family: Family, spec: FieldSpec, fq: list[FqElem],
     return OrderRecord(family, spec.p, i, j, theta)
 
 
+# The most theta rows one (i, j) cell of a sweep may cover: q^depth.  The
+# kernel holds a whole cell in memory at once.
+MAX_CELL_POINTS = 2 ** 20
+
+
 def default_depth(p: int) -> int:
-    """Sweep depth exercising every closed-form bound on both sides."""
+    """Sweep depth exercising every closed-form bound on both sides; for
+    p >= 5 it exceeds MAX_CELL_POINTS, so those sweeps need an explicit depth."""
     return 2 * (p + 2)
 
 
@@ -357,7 +363,8 @@ def _predicate_column(grid, family: Family, pred_fn, record) -> np.ndarray:
 def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
     """The one pass over the (i, j, theta) grid behind both public sweeps.
 
-    Validates the grid and returns (family, depth, i_values, j_values, cells);
+    Validates the grid, each cell at most MAX_CELL_POINTS points, and returns
+    (family, depth, i_values, j_values, cells);
     `cells` yields, per (i, j) cell, the number of points covered (theta rows
     plus T^j) and (record, oracle, predicate) for each point `_disputed`
     selects, in row order with T^j last.
@@ -377,6 +384,9 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
         raise ValueError("depth must be >= 1")
     i_values = _values("i", i_range)
     j_values = _values("j", j_range)
+    if depth > MAX_CELL_POINTS.bit_length() or spec.q ** depth > MAX_CELL_POINTS:
+        raise ValueError(f"a cell of q^depth = {spec.q}^{depth} points exceeds the limit "
+                         f"MAX_CELL_POINTS = {MAX_CELL_POINTS}; pass a smaller depth (--depth)")
     fq = list(spec.elements())
     bint = [[0, 0], [0, 0]] if family is Family.ALPHA_P_N else _FAMILY_B[family]
     limit, spot, tag = checks

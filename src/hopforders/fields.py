@@ -14,9 +14,14 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
+# The largest field size q = p^k a FieldSpec accepts.  It bounds the work of
+# the primality and irreducibility checks at construction and of everything
+# that lists the q elements.
+MAX_Q = 2 ** 16
+
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division; p is always desk-scale here."""
+    """Primality by trial division; FieldSpec bounds p by MAX_Q first."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -48,15 +53,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _trim(out)
 
 
-def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % p
-    return _trim(out)
-
-
 def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -74,21 +70,6 @@ def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int],
         a.pop()
         _trim(a)
     return q, a
-
-
-def _poly_mod_inverse(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    """Inverse of a modulo the irreducible monic m, by extended Euclid."""
-    r0, s0 = list(m), []
-    r1, s1 = _poly_divmod(a, m, p)[1], [1]
-    if not r1:
-        raise ZeroDivisionError("division by zero in F_q")
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-    # r0 is a nonzero constant because m is irreducible
-    c = pow(r0[0], p - 2, p)
-    return _poly_divmod([(x * c) % p for x in s0], m, p)[1]
 
 
 def _is_irreducible(m: Sequence[int], p: int) -> bool:
@@ -126,13 +107,17 @@ class FieldSpec:
     """The coefficient field F_q, q = p^k.
 
     For k > 1 a degree-k modulus over F_p is required and checked for
-    irreducibility at construction; k = 1 forbids a modulus.  Specs compare
-    by value, so two specs describing the same field interoperate.
+    irreducibility at construction; k = 1 forbids a modulus; q may not
+    exceed MAX_Q.  Specs compare by value, so two specs describing the same
+    field interoperate.
     """
 
     __slots__ = ("p", "k", "modulus", "_cache")
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
+        if (isinstance(p, int) and isinstance(k, int) and p > 1 and k >= 1
+                and (k > MAX_Q.bit_length() or p ** k > MAX_Q)):
+            raise ValueError(f"field size q = {p}^{k} exceeds the limit MAX_Q = {MAX_Q}")
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"p must be a prime, got {p!r}")
         if not isinstance(k, int) or k < 1:
@@ -305,8 +290,7 @@ class FqElem:
         spec = self.spec
         if spec.k == 1:
             return spec._make((pow(self.coeffs[0], spec.p - 2, spec.p),))
-        inv = _poly_mod_inverse(self.coeffs, spec.modulus, spec.p)
-        return spec._make(tuple(inv) + (0,) * (spec.k - len(inv)))
+        return self ** (spec.q - 2)  # Fermat: x^(q-1) = 1 on F_q^x
 
     def __truediv__(self, other):
         other = self._coerce(other)

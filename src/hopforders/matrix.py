@@ -7,7 +7,9 @@ to match the usual matrix convention.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 from .fields import FieldSpec
@@ -38,6 +40,43 @@ class IntegralityResult:
 
     def __bool__(self):
         return self.ok
+
+
+def _gauss_jordan(work: list[list]) -> tuple[list, int]:
+    """Gauss-Jordan elimination, in place, of n row lists over a field whose
+    elements test false exactly at zero (RatFunc or FqElem).
+
+    Each of the first n columns takes as pivot its first nonzero entry at or
+    below the current row, or is skipped if it has none; the pivot row is
+    scaled to a unit pivot and cleared from every other row.  Row operations
+    touch only the columns right of the pivot, as the reduced columns are
+    never read again, so columns n and up end up reduced and the first n
+    stale.  Returns the unscaled pivots (their number is the rank) and the
+    number of row swaps.
+    """
+    n = len(work)
+    pivots = []
+    swaps = 0
+    for col in range(n):
+        k = len(pivots)
+        r = next((r for r in range(k, n) if work[r][col]), None)
+        if r is None:
+            continue
+        if r != k:
+            work[k], work[r] = work[r], work[k]
+            swaps += 1
+        row = work[k]
+        pivots.append(row[col])
+        if len(row) == col + 1:
+            continue
+        inv = row[col].inverse()
+        right = [x * inv for x in row[col + 1:]]
+        row[col + 1:] = right
+        for i, other in enumerate(work):
+            f = other[col]
+            if i != k and f:
+                other[col + 1:] = [x - f * y for x, y in zip(other[col + 1:], right)]
+    return pivots, swaps
 
 
 class Mat:
@@ -123,50 +162,21 @@ class Mat:
         return Mat([[a * c for a in r] for r in self.rows])
 
     def det(self) -> RatFunc:
-        """Exact determinant by Gaussian elimination (product of pivots)."""
-        n = self.n
-        work = [list(r) for r in self.rows]
-        sign = 1
-        det = RatFunc.one(self.spec)
-        for k in range(n):
-            pivot_row = next((r for r in range(k, n) if not work[r][k].is_zero()), None)
-            if pivot_row is None:
-                return RatFunc.zero(self.spec)
-            if pivot_row != k:
-                work[k], work[pivot_row] = work[pivot_row], work[k]
-                sign = -sign
-            pivot = work[k][k]
-            det = det * pivot
-            for r in range(k + 1, n):
-                if work[r][k].is_zero():
-                    continue
-                factor = work[r][k] / pivot
-                work[r] = [x - factor * y for x, y in zip(work[r], work[k])]
-        if sign < 0:
-            det = -det
-        return det
+        """Exact determinant: the signed product of the elimination pivots."""
+        pivots, swaps = _gauss_jordan([list(r) for r in self.rows])
+        if len(pivots) < self.n:
+            return RatFunc.zero(self.spec)
+        det = reduce(operator.mul, pivots)
+        return -det if swaps % 2 else det
 
     def inv(self) -> "Mat":
-        """Exact inverse by Gauss-Jordan elimination; pivots are the first
-        nonzero entries in each column (no pivoting strategy needed, the
-        arithmetic is exact)."""
+        """Exact inverse: Gauss-Jordan elimination of [M | I]."""
         n = self.n
         one, zero = RatFunc.one(self.spec), RatFunc.zero(self.spec)
         work = [list(r) + [one if i == j else zero for j in range(n)]
                 for i, r in enumerate(self.rows)]
-        for k in range(n):
-            pivot_row = next((r for r in range(k, n) if not work[r][k].is_zero()), None)
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular over K")
-            if pivot_row != k:
-                work[k], work[pivot_row] = work[pivot_row], work[k]
-            inv_pivot = work[k][k].inverse()
-            work[k] = [x * inv_pivot for x in work[k]]
-            for r in range(n):
-                if r == k or work[r][k].is_zero():
-                    continue
-                factor = work[r][k]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[k])]
+        if len(_gauss_jordan(work)[0]) < n:
+            raise SingularMatrixError("matrix is singular over K")
         return Mat([row[n:] for row in work])
 
     def twist(self, p: int | None = None) -> "Mat":

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import FqElem
-from .matrix import Mat, SingularMatrixError, Witness
+from .matrix import Mat, SingularMatrixError, Witness, _gauss_jordan
 from .ratfunc import INF, RatFunc
 
 
@@ -187,10 +187,13 @@ def verify_twisted_equation(theta: Mat, A: Mat, B: Mat, p: int | None = None) ->
 
 
 def same_order(theta1: Mat, theta2: Mat) -> bool:
-    """Whether two embeddings give the same order: Theta^{-1}Theta' in M_n(R)^x."""
-    if theta2.det().is_zero():
+    """Whether two embeddings give the same order: U = Theta^{-1}Theta' in
+    M_n(R)^x, i.e. U integral with det U of valuation zero."""
+    U = theta1.inv() @ theta2
+    d = U.det()
+    if d.is_zero():
         raise SingularMatrixError("matrix is singular over K")
-    return (theta1.inv() @ theta2).is_unit()
+    return bool(U.is_integral()) and d.val == 0
 
 
 def scale_to_integral(theta: Mat) -> Mat:
@@ -287,7 +290,6 @@ def embedding_generators(embedding: Embedding) -> list[str]:
 # -- special fibre: semilinear operator powers over F_q --
 
 def _fq_matmul(X, Y, zero):
-    n = len(X)
     cols = list(zip(*Y))
     out = []
     for row in X:
@@ -297,24 +299,6 @@ def _fq_matmul(X, Y, zero):
 
 def _fq_frobenius(X):
     return [[c.frobenius() for c in row] for row in X]
-
-
-def _fq_rank(X, n) -> int:
-    work = [list(row) for row in X]
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(n):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
 
 
 def special_fibre(A: Mat) -> FibreReport:
@@ -330,7 +314,7 @@ def special_fibre(A: Mat) -> FibreReport:
     acc = abar
     twisted = abar
     for m in range(1, n + 1):
-        ranks.append(_fq_rank(acc, n))
+        ranks.append(len(_gauss_jordan([list(row) for row in acc])[0]))
         if m < n:
             twisted = _fq_frobenius(twisted)
             acc = _fq_matmul(acc, twisted, zero)

@@ -1,5 +1,9 @@
 """Shared builders for randomized tests (seeded random module, no global state)."""
 
+import itertools
+import operator
+from functools import reduce
+
 from hopforders.fields import FieldSpec
 from hopforders.matrix import Mat
 from hopforders.ratfunc import Poly, RatFunc
@@ -124,3 +128,46 @@ def brute_force_points(family, spec, i_values, j_values, depth, pred_fn=None):
             points += [(r, oracle_is_order(r), None if pred_fn is None else pred_fn(r))
                        for r in recs]
     return points
+
+
+# -- reference linear algebra, independent of the elimination in hopforders --
+
+def leibniz_det(rows, zero):
+    """Determinant as the signed sum over all permutations (any field)."""
+    n = len(rows)
+    total = zero
+    for perm in itertools.permutations(range(n)):
+        term = reduce(operator.mul, (rows[i][perm[i]] for i in range(n)))
+        odd = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2)) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+def minor_rank(rows, zero):
+    """Rank as the size of the largest nonzero minor."""
+    n = len(rows)
+    for k in range(n, 0, -1):
+        for rs in itertools.combinations(range(n), k):
+            for cs in itertools.combinations(range(n), k):
+                if leibniz_det([[rows[r][c] for c in cs] for r in rs], zero):
+                    return k
+    return 0
+
+
+def cofactor_inverse(rows, zero):
+    """Inverse of an n x n matrix, n >= 2, as its adjugate over its
+    Leibniz determinant."""
+    n = len(rows)
+    det = leibniz_det(rows, zero)
+
+    def cofactor(i, j):
+        minor = [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+        d = leibniz_det(minor, zero)
+        return -d if (i + j) % 2 else d
+
+    return [[cofactor(j, i) / det for j in range(n)] for i in range(n)]
+
+
+def deficient(rows, zero):
+    """Replace the last row by the sum of the others: rank < n."""
+    return rows[:-1] + [[reduce(operator.add, col, zero) for col in zip(*rows[:-1])]]

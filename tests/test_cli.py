@@ -318,3 +318,51 @@ def test_module_entry_point_is_quiet():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "integral: yes" in proc.stdout
+
+
+def test_resource_limits_exit_2(capsys):
+    for argv, limit in (
+        (["check", "--field", "p=1000000000000000003", "--B", "[0]", "--theta", "[1]"], "MAX_Q"),
+        (["fibre", "--field", "p=2;k=40;mod=a^40+a^5+a^4+a^3+1", "--A", "[1]"], "MAX_Q"),
+        (["enumerate", "--family", "alpha_p2", "--field", "p=5", "--i", "0", "--j", "0"],
+         "MAX_CELL_POINTS"),
+        (["oracle-check", "--family", "mono_p2", "--field", "p=2", "--i", "0", "--j", "0",
+          "--depth", "21"], "MAX_CELL_POINTS"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert limit in captured.err
+
+
+HELP = {
+    "same-order": """\
+usage: hopforders same-order [-h] --field FIELD --theta THETA --theta2 THETA2
+
+options:
+  -h, --help       show this help message and exit
+  --field FIELD
+  --theta THETA
+  --theta2 THETA2
+""",
+    "oracle-check": """\
+usage: hopforders oracle-check [-h] --family FAMILY --field FIELD --i I --j J
+                               [--depth DEPTH] [--json]
+
+options:
+  -h, --help       show this help message and exit
+  --family FAMILY
+  --field FIELD
+  --i I
+  --j J
+  --depth DEPTH
+  --json
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_subcommand_help_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == HELP[command]

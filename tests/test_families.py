@@ -1,15 +1,15 @@
 import pytest
 
-from hopforders.families import (Family, OrderRecord,
+from hopforders.families import (MAX_CELL_POINTS, Family, OrderRecord,
                                  alpha_p2_loose_predicate, canonical_theta,
-                                 enumerate_orders, family_matrix,
+                                 default_depth, enumerate_orders, family_matrix,
                                  oracle_check_family, oracle_is_order,
                                  predicate, rank1_orders, theta_for_record)
 from hopforders.matrix import Mat
 from hopforders.orders import same_order
 from hopforders.ratfunc import Poly, RatFunc
 
-from helpers import F2, F3, F4, brute_force_points, pi
+from helpers import F2, F3, F4, F5, brute_force_points, pi
 
 
 def rec(family, spec, i, j, theta):
@@ -287,3 +287,19 @@ def test_rank1_description():
     res = rank1_orders(RatFunc.zero(F2), 2)
     assert "T^2*t" in res.description
     assert res.relation == "u^2 = 0*u"
+
+
+def test_sweep_cell_limit_refuses_before_any_work(monkeypatch):
+    """A cell of more than MAX_CELL_POINTS points is refused up front: no
+    grid and no record is built.  Only cells past the limit are run here."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cell was built past the limit")
+
+    monkeypatch.setattr("hopforders._batch.CellGrid", forbidden)
+    monkeypatch.setattr("hopforders.families._record_from_row", forbidden)
+    assert 2 ** 20 == MAX_CELL_POINTS
+    assert 5 ** default_depth(5) > MAX_CELL_POINTS
+    for spec, depth in ((F2, 21), (F4, 11), (F2, 10 ** 9), (F5, None)):
+        for sweep in (enumerate_orders, oracle_check_family):
+            with pytest.raises(ValueError, match="MAX_CELL_POINTS.*depth"):
+                sweep(Family.ALPHA_P2, spec, [0], [0], depth=depth)

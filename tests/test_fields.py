@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopforders.fields import FieldSpec, is_prime
+from hopforders.fields import MAX_Q, FieldSpec, is_prime
 
 from helpers import F2, F3, F4, F5, F9
 
@@ -128,3 +128,23 @@ def test_str_roundtrip_forms():
 def test_spec_text():
     assert F2.spec_text() == "p=2"
     assert F4.spec_text() == "p=2;k=2;mod=1+a+a^2"
+
+
+@pytest.mark.parametrize("spec", [F4, F9, FieldSpec(2, 4, (1, 1, 0, 0, 1)),
+                                  FieldSpec(3, 3, (1, 2, 0, 1))])
+def test_inverse_exhaustive_extension_fields(spec):
+    for x in spec.elements():
+        if x:
+            assert x * x.inverse() == spec.one
+
+
+def test_field_size_limit():
+    assert MAX_Q == 2 ** 16
+    FieldSpec(65521)                                  # largest prime below the limit
+    assert FieldSpec(2, 16, (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,)).q == MAX_Q
+    for args in ((65537,), (1000000000000000003,), (2, 17, (1, 1) + (0,) * 15 + (1,)),
+                 (2, 40, (1, 0, 0, 1, 1, 1) + (0,) * 34 + (1,)), (3, 10 ** 9)):
+        with pytest.raises(ValueError, match="MAX_Q"):
+            FieldSpec(*args)
+    with pytest.raises(ValueError, match="prime"):    # small inputs keep their messages
+        FieldSpec(4)

@@ -5,8 +5,8 @@ import pytest
 from hopforders.matrix import Mat, SingularMatrixError
 from hopforders.ratfunc import RatFunc
 
-from helpers import (F2, F3, F5, pi, rand_invertible, rand_mat,
-                     rand_unit_matrix)
+from helpers import (F2, F3, F4, F5, F9, cofactor_inverse, deficient, leibniz_det,
+                     pi, rand_invertible, rand_mat, rand_ratfunc, rand_unit_matrix)
 
 
 def test_mul_identity_and_zero():
@@ -138,3 +138,41 @@ def test_unit_matrix_properties():
 def test_str_form():
     m = Mat([[pi(F2), RatFunc.zero(F2)], [RatFunc.one(F2) + pi(F2), pi(F2, 2)]])
     assert str(m) == "[T,0;1 + T,T^2]"
+
+
+# -- the one elimination routine against the Leibniz references --
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9])
+def test_det_and_inv_match_leibniz_references(spec):
+    rng = random.Random(f"det-inv-{spec.q}")
+    zero = RatFunc.zero(spec)
+    for trial in range(12):
+        rows = [[rand_ratfunc(rng, spec, 1) for _ in range(3)] for _ in range(3)]
+        if trial % 3 == 0:
+            rows = deficient(rows, zero)
+        m = Mat(rows)
+        det = leibniz_det(rows, zero)
+        assert m.det() == det
+        if det.is_zero():
+            with pytest.raises(SingularMatrixError):
+                m.inv()
+        else:
+            assert m.inv() == Mat(cofactor_inverse(rows, zero))
+    # every rank-deficient pattern: a zero row, a repeated row, a zero column
+    one = RatFunc.one(spec)
+    for rows in ([[one, pi(spec), zero], [zero] * 3, [pi(spec), one, one]],
+                 [[one, pi(spec), one], [one, pi(spec), one], [zero, one, pi(spec)]],
+                 [[zero, one, pi(spec)], [zero, pi(spec), one], [zero, one, one]]):
+        assert Mat(rows).det().is_zero() and leibniz_det(rows, zero).is_zero()
+        with pytest.raises(SingularMatrixError):
+            Mat(rows).inv()
+
+
+def test_det_sign_follows_row_swaps():
+    zero, one = RatFunc.zero(F3), RatFunc.one(F3)
+    t = pi(F3)
+    # one swap: odd; two swaps (a 3-cycle): even
+    rows = [[zero, one, zero], [t, zero, zero], [zero, zero, one]]
+    assert Mat(rows).det() == leibniz_det(rows, zero) == -t
+    rows = [[zero, t, zero], [zero, zero, one], [one, zero, zero]]
+    assert Mat(rows).det() == leibniz_det(rows, zero) == t

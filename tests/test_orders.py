@@ -10,8 +10,9 @@ from hopforders.orders import (NotIntegralError, ddl_normalize,
                                verify_twisted_equation)
 from hopforders.ratfunc import RatFunc
 
-from helpers import (F2, F3, F5, pi, rand_integral_mat, rand_invertible,
-                     rand_unit_matrix, worked_example)
+from helpers import (F2, F3, F4, F5, F9, deficient, minor_rank, pi, rand_fq,
+                     rand_integral_mat, rand_invertible, rand_unit_matrix,
+                     worked_example)
 
 
 # -- presentations --
@@ -137,6 +138,19 @@ def test_same_order_requires_invertible():
         same_order(Mat.identity(F2, 2), Mat.zeros(F2, 2))
     with pytest.raises(SingularMatrixError):
         same_order(Mat.zeros(F2, 2), Mat.identity(F2, 2))
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4])
+def test_same_order_singular_theta_raises(spec):
+    rng = random.Random(f"same-order-singular-{spec.q}")
+    zero = RatFunc.zero(spec)
+    for _ in range(4):
+        theta = rand_invertible(rng, spec, 3, 1)
+        singular = Mat(deficient([list(r) for r in rand_invertible(rng, spec, 3, 1).rows], zero))
+        with pytest.raises(SingularMatrixError, match="singular"):
+            same_order(theta, singular)
+        with pytest.raises(SingularMatrixError, match="singular"):
+            same_order(singular, theta)
 
 
 def test_same_order_is_equivalence():
@@ -313,6 +327,47 @@ def test_fibre_ranks_non_increasing_and_block_additive():
     rep = special_fibre(blocks)
     assert rep.etale_rank == 1
     assert rep.classification == "mixed"
+
+
+def _fq_product(X, Y, zero):
+    return [[sum((X[i][k] * Y[k][j] for k in range(len(Y))), zero)
+             for j in range(len(Y[0]))] for i in range(len(X))]
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9])
+def test_fibre_ranks_match_minor_references(spec):
+    """fpower_ranks[m-1] = rank of Abar * Abar^(p) * ... * Abar^(p^(m-1)),
+    with the twist and the rank computed independently of special_fibre."""
+    rng = random.Random(f"fibre-ranks-{spec.q}")
+    zero = spec.zero
+    for trial in range(15):
+        abar = [[rand_fq(rng, spec) for _ in range(3)] for _ in range(3)]
+        if trial % 3 == 0:
+            abar = deficient(abar, zero)
+        A = Mat([[RatFunc.constant(spec, x) + pi(spec, 1 + trial % 2) for x in row]
+                 for row in abar])
+        expected, acc = [], abar
+        for m in range(1, 4):
+            expected.append(minor_rank(acc, zero))
+            acc = _fq_product(acc, [[x ** (spec.p ** m) for x in row] for row in abar], zero)
+        report = special_fibre(A)
+        assert report.abar == tuple(tuple(row) for row in abar)
+        assert list(report.fpower_ranks) == expected
+
+
+def test_fibre_frobenius_over_f4():
+    """Over F_4 the twist squares entries, so Abar * Abar^(2) and Abar * Abar
+    can have different ranks; the fibre follows the twisted product."""
+    a = F4.gen
+    one = F4.one
+    for abar, ranks, kind in (([[one, a], [a, one + a]], (1, 0), "connected"),
+                              ([[one, a], [one + a, one]], (1, 1), "mixed")):
+        untwisted = _fq_product(abar, abar, F4.zero)
+        assert minor_rank(untwisted, F4.zero) != ranks[1]
+        A = Mat([[RatFunc.constant(F4, x) + pi(F4) for x in row] for row in abar])
+        report = special_fibre(A)
+        assert report.fpower_ranks == ranks
+        assert report.classification == kind
 
 
 def test_fibre_requires_integral():
