@@ -2,7 +2,8 @@
 
 Any matrix or element argument may be @file, reading the same grammar from a
 UTF-8 text file.  Exit codes: 0 mathematical yes/success, 1 mathematical no,
-2 usage or parse error.
+2 usage or parse error, 3 internal error (the sweep kernel disagreed with
+the matrix oracle).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .families import (Family, RANK_P2_FAMILIES, enumerate_orders, family_matrix,
-                       oracle_check_family, rank1_orders, theta_for_record)
+from .families import (BatchMismatchError, Family, RANK_P2_FAMILIES, enumerate_orders,
+                       family_matrix, oracle_check_family, rank1_orders, theta_for_record)
 from .matrix import SingularMatrixError
 from .orders import (NotIntegralError, ddl_normalize, embedding_generators,
                      is_ddl, order_from_theta, presentation_from_matrix,
@@ -242,6 +243,9 @@ def main(argv=None) -> int:
     except (ParseError, SingularMatrixError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BatchMismatchError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

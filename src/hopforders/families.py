@@ -16,6 +16,7 @@ bijection with orders of bounded depth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from . import _batch
 from .fields import FieldSpec, FqElem
 from .matrix import Mat, Witness
 from .orders import NotIntegralError, _term, order_from_theta
+from .parse import MAX_DEGREE
 from .ratfunc import INF, Poly, RatFunc
 
 
@@ -61,16 +63,26 @@ def family_matrix(family: Family, spec: FieldSpec, n: int | None = None) -> Mat:
     """The 0/1 matrix B of the family's ambient algebra."""
     family = Family(family)
     if family is Family.ALPHA_P_N:
-        return Mat.zeros(spec, 2 if n is None else n)
-    if family is Family.RANK1_LOCAL:
+        n = 2 if n is None else n
+    elif family is Family.RANK1_LOCAL:
         if n not in (None, 1):
             raise ValueError("rank1_local is a 1x1 family")
-        return Mat.zeros(spec, 1)
-    if family is Family.RANK1_SEPARABLE:
+        n = 1
+    elif family is Family.RANK1_SEPARABLE:
         raise ValueError("rank1_separable is parameterized by a scalar b; use rank1_orders")
-    if n not in (None, 2):
+    elif n not in (None, 2):
         raise ValueError(f"family {family} is 2x2 only")
-    return Mat.from_ints(spec, _FAMILY_B[family])
+    else:
+        n = 2
+    return _shared_matrix(family, spec, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_matrix(family: Family, spec: FieldSpec, n: int) -> Mat:
+    """One B per (family, spec, n), shared by every caller: Mat is immutable."""
+    if family in _FAMILY_B:
+        return Mat.from_ints(spec, _FAMILY_B[family])
+    return Mat.zeros(spec, n)
 
 
 def canonical_theta(theta: RatFunc, j: int) -> RatFunc:
@@ -510,10 +522,14 @@ def rank1_orders(b: RatFunc, i: int) -> Rank1Result:
     For b = 0 (the local case) every integer i works.  Otherwise b is first
     normalized by t -> T^s t so that 0 <= v(b) <= p-2, after which exactly
     the i >= 0 pass; either way the verdict is the 1x1 integrality test
-    a = b * theta^(p-1) in R with theta = T^i.
+    a = b * theta^(p-1) in R with theta = T^i.  |(p-1) i| may not exceed
+    MAX_DEGREE, the degree bound of the parser.
     """
     spec = b.spec
     p = spec.p
+    if abs((p - 1) * i) > MAX_DEGREE:
+        raise ValueError(f"|(p-1)*i| = {abs((p - 1) * i)} exceeds the limit "
+                         f"MAX_DEGREE = {MAX_DEGREE}")
     if b.is_zero():
         b_norm = b
     else:

@@ -2,9 +2,16 @@
 
 A :class:`FieldSpec` pins the coefficient field down once: the prime p, the
 extension degree k and, for k > 1, the monic irreducible modulus presenting
-F_q = F_p[a]/(modulus).  :class:`FqElem` is an immutable element written in
-the power basis of the generator `a`.  Elements of different specs never
-combine.
+F_q = F_p[a]/(modulus).  Elements of different specs never combine.
+
+Inside the library an element is an int code c = sum_t d_t p^t in [0, q),
+where d_0 + d_1 a + ... + d_{k-1} a^(k-1) is its power-basis form; 0 is zero,
+1 is one, and over F_p the code is the residue.  `FieldSpec.arith` holds the
+code arithmetic: plain ints mod p for k = 1; for k > 1 log/antilog tables to
+a primitive element, built once on first use, serve multiplication, inverse
+and Frobenius, addition is XOR for p = 2 and goes through a Zech-log table
+for odd p.  Every table has O(q) entries.  :class:`FqElem` is the immutable
+element at the API edge; its operations run on the same code arithmetic.
 
 The Frobenius map x -> x^p lives here; it is the coefficient-level piece of
 the entry-wise twist applied to matrices over K.
@@ -12,6 +19,7 @@ the entry-wise twist applied to matrices over K.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence, Union
 
 # The largest field size q = p^k a FieldSpec accepts.  It bounds the work of
@@ -34,7 +42,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- helpers on F_p[x] with plain-int coefficient lists (ascending powers) --
+# -- helpers on F_p[x] with plain-int coefficient lists (ascending powers);
+#    they build the tables and test the modulus, off the hot path --
 
 def _trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
@@ -103,6 +112,122 @@ def _coeff_str(coeffs: Sequence[int]) -> str:
     return "+".join(terms) if terms else "0"
 
 
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+class _Arith:
+    """Code arithmetic of one field: add, sub, neg, mul, inv, frob (x -> x^p)
+    and pow (x, e >= 0), each on int codes.  Zero has no inverse: callers
+    check first."""
+
+    __slots__ = ("add", "sub", "neg", "mul", "inv", "frob", "pow", "log", "exp")
+
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
+        if k == 1:
+            self.log = self.exp = None
+            self.add = lambda x, y: (x + y) % p
+            self.sub = lambda x, y: (x - y) % p
+            self.neg = lambda x: -x % p
+            self.mul = operator.and_ if p == 2 else lambda x, y: x * y % p
+            self.inv = lambda x: pow(x, p - 2, p)
+            self.frob = lambda x: x
+            self.pow = lambda x, e: pow(x, e, p)
+        else:
+            self._tables(p, k, modulus)
+        if p == 2:                      # codes are bit vectors
+            self.add = self.sub = operator.xor
+            self.neg = lambda x: x
+
+    def _tables(self, p: int, k: int, modulus: tuple[int, ...]) -> None:
+        q = p ** k
+        n = q - 1
+        weights = [p ** t for t in range(k)]
+
+        def digits(c):
+            return [c // w % p for w in weights]
+
+        def code(ds):
+            return sum(d * w for d, w in zip(ds, weights))
+
+        def dpow(x, e):
+            out = [1]
+            while e:
+                if e & 1:
+                    out = _poly_divmod(_poly_mul(out, x, p), modulus, p)[1]
+                x = _poly_divmod(_poly_mul(x, x, p), modulus, p)[1]
+                e >>= 1
+            return out
+
+        def times_g(ds):
+            # sum_s g_s a^s ds, one reduction mod the modulus per power of a
+            acc = [0] * k
+            for gs in gd:
+                if gs:
+                    acc = [(x + gs * y) % p for x, y in zip(acc, ds)]
+                top = ds[-1]
+                ds = [0] + ds[:-1]
+                if top:
+                    ds = [(x - top * m) % p for x, m in zip(ds, modulus)]
+            return acc
+
+        # the smallest code of multiplicative order n generates the tables
+        factors = _prime_factors(n)
+        g = next(g for g in range(2, q) if all(dpow(digits(g), n // r) != [1] for r in factors))
+        gd = _trim(digits(g))
+        log = [0] * q
+        exp = [0] * (2 * n)          # doubled, so a sum of two logs needs no mod
+        cur = [1] + [0] * (k - 1)
+        for i in range(n):
+            c = code(cur)
+            exp[i] = exp[i + n] = c
+            log[c] = i
+            cur = times_g(cur)
+        self.log, self.exp = log, exp
+
+        def mul(x, y):
+            return exp[log[x] + log[y]] if x and y else 0
+
+        def power(x, e):
+            if not x:
+                return 0 if e else 1
+            return exp[log[x] * e % n]
+
+        self.mul, self.pow = mul, power
+        self.inv = lambda x: exp[n - log[x]]
+        self.frob = ([0] + [exp[log[x] * p % n] for x in range(1, q)]).__getitem__
+        if p == 2:
+            return
+        # Zech logs: 1 + g^m = g^zech[m], or zero where zech[m] = -1
+        zech = [0] * n
+        for m in range(n):
+            c = exp[m]
+            d0 = c % p
+            one_plus = c - d0 + (d0 + 1) % p
+            zech[m] = log[one_plus] if one_plus else -1
+        neg_t = [0] + [exp[log[x] + n // 2] for x in range(1, q)]   # -1 = g^(n/2)
+
+        def add(x, y):
+            if not x:
+                return y
+            if not y:
+                return x
+            lx = log[x]
+            z = zech[log[y] - lx]     # a negative index wraps to (log y - log x) mod n
+            return exp[lx + z] if z >= 0 else 0
+
+        self.add = add
+        self.neg = neg_t.__getitem__
+        self.sub = lambda x, y: add(x, neg_t[y])
+
+
 class FieldSpec:
     """The coefficient field F_q, q = p^k.
 
@@ -112,7 +237,7 @@ class FieldSpec:
     field interoperate.
     """
 
-    __slots__ = ("p", "k", "modulus", "_cache")
+    __slots__ = ("p", "k", "modulus", "_arith", "_elems")
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
         if (isinstance(p, int) and isinstance(k, int) and p > 1 and k >= 1
@@ -140,20 +265,38 @@ class FieldSpec:
             self.modulus = tuple(m)
         self.p = p
         self.k = k
-        self._cache: dict = {}
+        self._arith = None
+        self._elems = None
 
     @property
     def q(self) -> int:
         return self.p ** self.k
 
-    def _make(self, coeffs: tuple[int, ...]) -> "FqElem":
-        cache = self._cache
-        el = cache.get(coeffs)
+    @property
+    def arith(self) -> _Arith:
+        """The code arithmetic, built on first use."""
+        ar = self._arith
+        if ar is None:
+            ar = self._arith = _Arith(self.p, self.k, self.modulus)
+        return ar
+
+    def _make(self, code: int) -> "FqElem":
+        elems = self._elems
+        if elems is None:
+            elems = self._elems = [None] * self.q
+        el = elems[code]
         if el is None:
-            el = FqElem(self, coeffs)
-            if len(cache) < 1 << 16:
-                cache[coeffs] = el
+            el = elems[code] = FqElem(self, code)
         return el
+
+    def _digits(self, code: int) -> tuple[int, ...]:
+        """The k power-basis coordinates of a code, ascending."""
+        p = self.p
+        out = []
+        for _ in range(self.k):
+            out.append(code % p)
+            code //= p
+        return tuple(out)
 
     def element(self, value: Union[int, "FqElem", Sequence[int]]) -> "FqElem":
         """Coerce an int (constant) or coordinate sequence into this field."""
@@ -163,39 +306,30 @@ class FieldSpec:
             return value
         p, k = self.p, self.k
         if isinstance(value, int):
-            coeffs = (value % p,) + (0,) * (k - 1)
-        else:
-            vals = [int(c) % p for c in value]
-            if len(vals) > k:
-                raise ValueError(f"too many coordinates for F_{p}^{k}")
-            coeffs = tuple(vals) + (0,) * (k - len(vals))
-        return self._make(coeffs)
+            return self._make(value % p)
+        vals = [int(c) % p for c in value]
+        if len(vals) > k:
+            raise ValueError(f"too many coordinates for F_{p}^{k}")
+        return self._make(sum(d * p ** t for t, d in enumerate(vals)))
 
     @property
     def zero(self) -> "FqElem":
-        return self.element(0)
+        return self._make(0)
 
     @property
     def one(self) -> "FqElem":
-        return self.element(1)
+        return self._make(1)
 
     @property
     def gen(self) -> "FqElem":
         """The power-basis generator `a` (k > 1 only)."""
         if self.k == 1:
             raise ValueError("prime fields have no extension generator")
-        return self.element((0, 1))
+        return self._make(self.p)
 
     def elements(self):
-        """Iterate all q elements, in lexicographic coordinate order."""
-        p, k = self.p, self.k
-        for idx in range(self.q):
-            v = idx
-            coeffs = []
-            for _ in range(k):
-                coeffs.append(v % p)
-                v //= p
-            yield self._make(tuple(coeffs))
+        """Iterate all q elements, in lexicographic coordinate order (by code)."""
+        return map(self._make, range(self.q))
 
     def spec_text(self) -> str:
         """Canonical text form, e.g. "p=2" or "p=2;k=2;mod=1+a+a^2"."""
@@ -217,19 +351,19 @@ class FieldSpec:
         return f"FieldSpec({self.spec_text()!r})"
 
 
-def _check_specs(a: "FqElem", b: "FqElem") -> None:
-    if a.spec is not b.spec and a.spec != b.spec:
-        raise ValueError("cannot combine elements of different field specs")
-
-
 class FqElem:
-    """An element of F_q, immutable, with coordinates in [0, p)."""
+    """An element of F_q, immutable: its spec and its int code."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "code")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+    def __init__(self, spec: FieldSpec, code: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self.code = code
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Power-basis coordinates in [0, p), ascending."""
+        return self.spec._digits(self.code)
 
     def _coerce(self, other) -> "FqElem":
         if type(other) is FqElem:
@@ -245,10 +379,7 @@ class FqElem:
         if other is NotImplemented:
             return NotImplemented
         spec = self.spec
-        p = spec.p
-        if spec.k == 1:
-            return spec._make(((self.coeffs[0] + other.coeffs[0]) % p,))
-        return spec._make(tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs)))
+        return spec._make(spec.arith.add(self.code, other.code))
 
     __radd__ = __add__
 
@@ -257,40 +388,29 @@ class FqElem:
         if other is NotImplemented:
             return NotImplemented
         spec = self.spec
-        p = spec.p
-        if spec.k == 1:
-            return spec._make(((self.coeffs[0] - other.coeffs[0]) % p,))
-        return spec._make(tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs)))
+        return spec._make(spec.arith.sub(self.code, other.code))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
         spec = self.spec
-        p = spec.p
-        return spec._make(tuple((-x) % p for x in self.coeffs))
+        return spec._make(spec.arith.neg(self.code))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         spec = self.spec
-        p = spec.p
-        if spec.k == 1:
-            return spec._make(((self.coeffs[0] * other.coeffs[0]) % p,))
-        prod = _poly_mul(self.coeffs, other.coeffs, p)
-        red = _poly_divmod(prod, spec.modulus, p)[1]
-        return spec._make(tuple(red) + (0,) * (spec.k - len(red)))
+        return spec._make(spec.arith.mul(self.code, other.code))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FqElem":
-        if not self:
+        if not self.code:
             raise ZeroDivisionError("division by zero in F_q")
         spec = self.spec
-        if spec.k == 1:
-            return spec._make((pow(self.coeffs[0], spec.p - 2, spec.p),))
-        return self ** (spec.q - 2)  # Fermat: x^(q-1) = 1 on F_q^x
+        return spec._make(spec.arith.inv(self.code))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -304,37 +424,30 @@ class FqElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.spec.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        spec = self.spec
+        return spec._make(spec.arith.pow(self.code, e))
 
     def frobenius(self) -> "FqElem":
         """x -> x^p; the identity on prime fields."""
-        if self.spec.k == 1:
-            return self
-        return self ** self.spec.p
+        spec = self.spec
+        return spec._make(spec.arith.frob(self.code))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.code != 0
 
     def __eq__(self, other):
         if isinstance(other, FqElem):
-            return self.coeffs == other.coeffs and self.spec == other.spec
+            return self.code == other.code and self.spec == other.spec
         if isinstance(other, int):
             return self == self.spec.element(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.coeffs, self.spec.p, self.spec.k))
+        return hash((self.code, self.spec.p, self.spec.k))
 
     def __str__(self):
         if self.spec.k == 1:
-            return str(self.coeffs[0])
+            return str(self.code)
         return _coeff_str(self.coeffs)
 
     def __repr__(self):

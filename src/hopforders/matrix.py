@@ -13,7 +13,7 @@ from functools import reduce
 from typing import Sequence
 
 from .fields import FieldSpec
-from .ratfunc import RatFunc
+from .ratfunc import Poly, RatFunc, poly_gcd
 
 
 class SingularMatrixError(ValueError):
@@ -42,41 +42,90 @@ class IntegralityResult:
         return self.ok
 
 
-def _gauss_jordan(work: list[list]) -> tuple[list, int]:
-    """Gauss-Jordan elimination, in place, of n row lists over a field whose
-    elements test false exactly at zero (RatFunc or FqElem).
+def _bareiss(work: list[list], div) -> tuple[int, object, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss), in place, of n row
+    lists over an integral domain: F_q[T] (Poly, div = floor division) or
+    F_q (FqElem, div = true division).
 
     Each of the first n columns takes as pivot its first nonzero entry at or
-    below the current row, or is skipped if it has none; the pivot row is
-    scaled to a unit pivot and cleared from every other row.  Row operations
-    touch only the columns right of the pivot, as the reduced columns are
-    never read again, so columns n and up end up reduced and the first n
-    stale.  Returns the unscaled pivots (their number is the rank) and the
-    number of row swaps.
+    below the current row, or is skipped if it has none.  Every other row r
+    becomes (pivot * r - r[col] * pivot row) / previous pivot, and that
+    division is exact: each entry is then a minor of the input (Sylvester's
+    identity).  Row operations touch only the columns right of the pivot, as
+    the reduced columns are never read again.  Eliminating [M | I] for a
+    nonsingular M leaves s * det M as the last pivot and s * adj M in the
+    right block, s = (-1)^swaps.  Returns the rank, the last pivot (None at
+    rank 0) and the number of row swaps.
     """
     n = len(work)
-    pivots = []
-    swaps = 0
+    rank = swaps = 0
+    prev = None
     for col in range(n):
-        k = len(pivots)
-        r = next((r for r in range(k, n) if work[r][col]), None)
+        r = next((r for r in range(rank, n) if work[r][col]), None)
         if r is None:
             continue
-        if r != k:
-            work[k], work[r] = work[r], work[k]
+        if r != rank:
+            work[rank], work[r] = work[r], work[rank]
             swaps += 1
-        row = work[k]
-        pivots.append(row[col])
-        if len(row) == col + 1:
-            continue
-        inv = row[col].inverse()
-        right = [x * inv for x in row[col + 1:]]
-        row[col + 1:] = right
-        for i, other in enumerate(work):
-            f = other[col]
-            if i != k and f:
-                other[col + 1:] = [x - f * y for x, y in zip(other[col + 1:], right)]
-    return pivots, swaps
+        piv = work[rank][col]
+        right = work[rank][col + 1:]
+        if right:
+            for i, row in enumerate(work):
+                if i == rank:
+                    continue
+                f = row[col]
+                if f:
+                    new = [piv * x - f * y for x, y in zip(row[col + 1:], right)]
+                else:
+                    new = [piv * x for x in row[col + 1:]]
+                row[col + 1:] = new if prev is None else [div(x, prev) for x in new]
+        prev = piv
+        rank += 1
+    return rank, prev, swaps
+
+
+def _adjugate(M: list[list[Poly]]) -> tuple[list[list[Poly]], Poly]:
+    """(s * adj M, s * det M) for a square matrix M over F_q[T], s = +-1, by
+    elimination of [M | I]; SingularMatrixError when det M = 0."""
+    n = len(M)
+    spec = M[0][0].spec
+    one, zero = Poly.one(spec), Poly.zero(spec)
+    work = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(M)]
+    rank, det, _ = _bareiss(work, operator.floordiv)
+    if rank < n:
+        raise SingularMatrixError("matrix is singular over K")
+    return [row[n:] for row in work], det
+
+
+def _poly_matmul(X: list[list[Poly]], Y: list[list[Poly]]) -> list[list[Poly]]:
+    zero = Poly.zero(X[0][0].spec)
+    cols = list(zip(*Y))
+    out = []
+    for row in X:
+        out_row = []
+        for col in cols:
+            acc = zero
+            for a, b in zip(row, col):
+                if a and b:
+                    acc = acc + a * b
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _poly_power(x: Poly, e: int) -> Poly:
+    return reduce(operator.mul, [x] * e, Poly.one(x.spec))
+
+
+def _lcm(a: Poly, b: Poly) -> Poly:
+    """Monic lcm of monic a and b; of two T-powers without a gcd."""
+    if b.is_one() or a == b:
+        return a
+    if a.is_one():
+        return b
+    if a.ord == a.degree and b.ord == b.degree:
+        return a if a.degree >= b.degree else b
+    return a * (b // poly_gcd(a, b))
 
 
 class Mat:
@@ -161,23 +210,31 @@ class Mat:
     def scale(self, c: RatFunc) -> "Mat":
         return Mat([[a * c for a in r] for r in self.rows])
 
+    def _polynomial_form(self) -> tuple[list[list[Poly]], Poly]:
+        """(M, d) with self = M / d: M over F_q[T], d the monic lcm of the
+        entry denominators."""
+        d = Poly.one(self.spec)
+        for row in self.rows:
+            for x in row:
+                d = _lcm(d, x.den)
+        return [[x.num if x.den == d else x.num * (d // x.den) for x in row]
+                for row in self.rows], d
+
     def det(self) -> RatFunc:
-        """Exact determinant: the signed product of the elimination pivots."""
-        pivots, swaps = _gauss_jordan([list(r) for r in self.rows])
-        if len(pivots) < self.n:
+        """Exact determinant det M / d^n for self = M / d, by fraction-free
+        elimination of M."""
+        M, d = self._polynomial_form()
+        rank, last, swaps = _bareiss(M, operator.floordiv)
+        if rank < self.n:
             return RatFunc.zero(self.spec)
-        det = reduce(operator.mul, pivots)
-        return -det if swaps % 2 else det
+        return RatFunc(-last if swaps % 2 else last, _poly_power(d, self.n))
 
     def inv(self) -> "Mat":
-        """Exact inverse: Gauss-Jordan elimination of [M | I]."""
-        n = self.n
-        one, zero = RatFunc.one(self.spec), RatFunc.zero(self.spec)
-        work = [list(r) + [one if i == j else zero for j in range(n)]
-                for i, r in enumerate(self.rows)]
-        if len(_gauss_jordan(work)[0]) < n:
-            raise SingularMatrixError("matrix is singular over K")
-        return Mat([row[n:] for row in work])
+        """Exact inverse d * adj M / det M for self = M / d, one canonical
+        RatFunc per entry."""
+        M, d = self._polynomial_form()
+        adj, det = _adjugate(M)
+        return Mat([[RatFunc(d * x, det) for x in row] for row in adj])
 
     def twist(self, p: int | None = None) -> "Mat":
         """Entry-wise p-th power (the Frobenius twist M^(p))."""

@@ -19,10 +19,12 @@ valuation dominates the valuation of every entry to its left.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .fields import FqElem
-from .matrix import Mat, SingularMatrixError, Witness, _gauss_jordan
+from .matrix import (Mat, SingularMatrixError, Witness, _adjugate, _bareiss, _poly_matmul,
+                     _poly_power)
 from .ratfunc import INF, RatFunc
 
 
@@ -30,8 +32,11 @@ class NotIntegralError(Exception):
     """A = Theta^{-1} B Theta^(p) has a non-integral entry."""
 
     def __init__(self, witness: Witness):
+        super().__init__(witness)
         self.witness = witness
-        super().__init__(f"resulting matrix is not integral: {witness}")
+
+    def __str__(self):
+        return f"resulting matrix is not integral: {self.witness}"
 
 
 def _term(coef: RatFunc, name: str) -> str:
@@ -164,16 +169,29 @@ def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
     Computes A = Theta^{-1} B Theta^(p).  Succeeds iff A is integral; raises
     NotIntegralError carrying the first offending entry otherwise, and
     SingularMatrixError for non-invertible Theta.
+
+    With Theta = M / d and B = B' / b over F_q[T], A = N / D for
+    N = adj(M) B' M^(p) and D = det M * b * d^(p-1), so A is integral iff
+    every nonzero N_ij has ord(N_ij) >= ord(D); no division in K happens
+    before the verdict.
     """
     res = B.is_integral()
     if not res:
         raise ValueError(f"B must be integral: {res.witness}")
     if B.n != theta.n or B.spec != theta.spec:
         raise ValueError("B and Theta must have equal size over one field spec")
-    A = theta.inv() @ B @ theta.twist()
-    check = A.is_integral()
-    if not check:
-        raise NotIntegralError(check.witness)
+    M, d = theta._polynomial_form()
+    Bm, b = B._polynomial_form()
+    adj, det = _adjugate(M)
+    N = _poly_matmul(_poly_matmul(adj, Bm), [[x.pth_power() for x in row] for row in M])
+    D = det * b * _poly_power(d, theta.spec.p - 1)
+    ord_D = D.ord
+    for i, row in enumerate(N):
+        for j, x in enumerate(row):
+            if x and x.ord < ord_D:
+                entry = RatFunc(x, D)
+                raise NotIntegralError(Witness(i + 1, j + 1, entry.val, entry))
+    A = Mat([[RatFunc(x, D) for x in row] for row in N])
     n = A.n
     embedding = Embedding(theta, _default_gens("u", n), _default_gens("t", n))
     return OrderResult(A, embedding, presentation_from_matrix(A))
@@ -314,7 +332,7 @@ def special_fibre(A: Mat) -> FibreReport:
     acc = abar
     twisted = abar
     for m in range(1, n + 1):
-        ranks.append(len(_gauss_jordan([list(row) for row in acc])[0]))
+        ranks.append(_bareiss([list(row) for row in acc], operator.truediv)[0])
         if m < n:
             twisted = _fq_frobenius(twisted)
             acc = _fq_matmul(acc, twisted, zero)

@@ -237,7 +237,7 @@ def _parse_modulus(src: str, fp: FieldSpec) -> list[int]:
         raise ParseError(f"modulus: {exc}") from exc
     if not value.den.is_one():
         raise ParseError("modulus must be a polynomial in a")
-    return [c.coeffs[0] for c in value.num.coeffs]
+    return list(value.num.codes)   # over F_p a code is the residue
 
 
 def parse_field_spec(text: str) -> FieldSpec:

@@ -19,186 +19,240 @@ INF = math.inf
 
 
 class Poly:
-    """A polynomial in T over F_q, coefficients ascending, trailing zeros trimmed."""
+    """A polynomial in T over F_q, coefficients ascending, trailing zeros trimmed.
 
-    __slots__ = ("spec", "coeffs")
+    The coefficients are stored as a tuple of int codes (see hopforders.fields)
+    and every operation runs on them; `coeffs`, `lc()` and `constant()`
+    return FqElem views.
+    """
+
+    __slots__ = ("spec", "codes")
 
     def __init__(self, spec: FieldSpec, coeffs: Sequence[FqElem]):
-        cs = list(coeffs)
+        cs = [c.code for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.spec = spec
-        self.coeffs = tuple(cs)
+        self.codes = tuple(cs)
+
+    @classmethod
+    def _raw(cls, spec: FieldSpec, codes: tuple[int, ...]) -> "Poly":
+        """Trusted constructor for a tuple of codes with a nonzero last entry."""
+        self = object.__new__(cls)
+        self.spec = spec
+        self.codes = codes
+        return self
+
+    @classmethod
+    def _trimmed(cls, spec: FieldSpec, codes: list[int]) -> "Poly":
+        while codes and not codes[-1]:
+            codes.pop()
+        return cls._raw(spec, tuple(codes))
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, ints: Sequence[int]) -> "Poly":
-        return cls(spec, [spec.element(c) for c in ints])
+        p = spec.p
+        return cls._trimmed(spec, [c % p for c in ints])
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, ())
+        return cls._raw(spec, ())
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, (spec.one,))
+        return cls._raw(spec, (1,))
 
     @classmethod
     def monomial(cls, spec: FieldSpec, e: int, coeff: Union[int, FqElem] = 1) -> "Poly":
-        c = spec.element(coeff)
+        c = spec.element(coeff).code
         if not c:
             return cls.zero(spec)
-        return cls(spec, (spec.zero,) * e + (c,))
+        return cls._raw(spec, (0,) * e + (c,))
+
+    @property
+    def coeffs(self) -> tuple[FqElem, ...]:
+        make = self.spec._make
+        return tuple(make(c) for c in self.codes)
 
     @property
     def degree(self) -> int:
         """Degree, with deg 0 = -1 by convention."""
-        return len(self.coeffs) - 1
+        return len(self.codes) - 1
 
     @property
     def ord(self):
         """Order of vanishing at T = 0; +infinity for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
+        if self.codes and self.codes[0]:
+            return 0
+        for i, c in enumerate(self.codes):
             if c:
                 return i
         return INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.codes
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.spec.one
+        return self.codes == (1,)
 
     def lc(self) -> FqElem:
-        if not self.coeffs:
+        if not self.codes:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.spec._make(self.codes[-1])
 
     def constant(self) -> FqElem:
-        return self.coeffs[0] if self.coeffs else self.spec.zero
+        return self.spec._make(self.codes[0] if self.codes else 0)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.spec.one
+        return bool(self.codes) and self.codes[-1] == 1
 
     def monic(self) -> "Poly":
-        if not self.coeffs or self.is_monic():
+        if not self.codes or self.codes[-1] == 1:
             return self
-        inv = self.coeffs[-1].inverse()
-        return Poly(self.spec, [c * inv for c in self.coeffs])
+        return self._scale(self.spec.arith.inv(self.codes[-1]))
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.spec, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        out = list(self.coeffs) + [self.spec.zero] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] = out[i] - c
-        return Poly(self.spec, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.spec, [-c for c in self.coeffs])
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(self.spec)
-        if len(a) == 1:
-            c = a[0]
-            return Poly(self.spec, [c * x for x in b])
-        if len(b) == 1:
-            c = b[0]
-            return Poly(self.spec, [x * c for x in a])
-        zero = self.spec.zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = out[i + j] + ai * bj
-        return Poly(self.spec, out)
-
-    def scale(self, c: FqElem) -> "Poly":
+    def _scale(self, c: int) -> "Poly":
+        """Multiply by the constant with code c."""
         if not c:
             return Poly.zero(self.spec)
-        return Poly(self.spec, [x * c for x in self.coeffs])
+        if c == 1:
+            return self
+        mul = self.spec.arith.mul
+        return Poly._raw(self.spec, tuple(mul(x, c) for x in self.codes))
+
+    def __add__(self, other: "Poly") -> "Poly":
+        a, b = self.codes, other.codes
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(map(self.spec.arith.add, a, b))
+        out += a[len(b):]
+        return Poly._trimmed(self.spec, out)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        a, b = self.codes, other.codes
+        ar = self.spec.arith
+        out = list(map(ar.sub, a, b))
+        if len(a) > len(b):
+            out += a[len(b):]
+        else:
+            out += map(ar.neg, b[len(a):])
+        return Poly._trimmed(self.spec, out)
+
+    def __neg__(self) -> "Poly":
+        return Poly._raw(self.spec, tuple(map(self.spec.arith.neg, self.codes)))
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        a, b = self.codes, other.codes
+        spec = self.spec
+        if not a or not b:
+            return Poly.zero(spec)
+        if len(a) > len(b):
+            a, b = b, a
+        if not any(a[:-1]):                 # c * T^m: shift and scale
+            return Poly._raw(spec, (0,) * (len(a) - 1) + b)._scale(a[-1])
+        if not any(b[:-1]):
+            return Poly._raw(spec, (0,) * (len(b) - 1) + a)._scale(b[-1])
+        out = [0] * (len(a) + len(b) - 1)
+        nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+        if spec.k == 1:
+            # lazy reduction: accumulate plain int products, reduce once
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in nonzero_b:
+                        out[i + j] += x * y
+            p = spec.p
+            return Poly._raw(spec, tuple([c % p for c in out]))
+        ar = spec.arith
+        log, exp, add = ar.log, ar.exp, ar.add
+        logs_b = [(j, log[y]) for j, y in nonzero_b]
+        for i, x in enumerate(a):
+            if x:
+                lx = log[x]
+                for j, ly in logs_b:
+                    out[i + j] = add(out[i + j], exp[lx + ly])
+        return Poly._raw(spec, tuple(out))
+
+    def scale(self, c: FqElem) -> "Poly":
+        return self._scale(c.code)
 
     def shift(self, m: int) -> "Poly":
         """Multiply by T^m, m >= 0."""
-        if not self.coeffs:
+        if not self.codes:
             return self
-        return Poly(self.spec, (self.spec.zero,) * m + self.coeffs)
+        return Poly._raw(self.spec, (0,) * m + self.codes)
 
     def rshift(self, m: int) -> "Poly":
         """Exact division by T^m; requires ord >= m."""
-        if m == 0 or not self.coeffs:
+        if m == 0 or not self.codes:
             return self
-        return Poly(self.spec, self.coeffs[m:])
+        return Poly._raw(self.spec, self.codes[m:])
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+        b = other.codes
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = other.coeffs[-1].inverse()
-        q = [spec.zero] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            c = rem[-1] * inv_lead
-            d = len(rem) - 1 - db
+        db = len(b) - 1
+        if len(self.codes) <= db:
+            return Poly.zero(spec), self
+        ar = spec.arith
+        inv_lead = ar.inv(b[-1])
+        if not any(b[:db]):               # a monomial c*T^db: shift and scale
+            return (Poly._raw(spec, self.codes[db:])._scale(inv_lead),
+                    Poly._trimmed(spec, list(self.codes[:db])))
+        rem = list(self.codes)
+        q = [0] * (len(rem) - db)
+        mul, sub = ar.mul, ar.sub
+        for d in range(len(q) - 1, -1, -1):
+            c = mul(rem[d + db], inv_lead)
             if c:
                 q[d] = c
-                for i, bc in enumerate(other.coeffs):
-                    rem[d + i] = rem[d + i] - c * bc
-            rem.pop()
-            while rem and not rem[-1]:
-                rem.pop()
-        return Poly(spec, q), Poly(spec, rem)
+                for i, y in enumerate(b, d):
+                    rem[i] = sub(rem[i], mul(c, y))
+        return Poly._raw(spec, tuple(q)), Poly._trimmed(spec, rem[:db])
+
+    def __floordiv__(self, other: "Poly") -> "Poly":
+        return self.divmod(other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
 
     def pth_power(self) -> "Poly":
         """(sum c_i T^i)^p = sum c_i^p T^(p i); exact in characteristic p."""
-        if not self.coeffs:
+        if not self.codes:
             return self
-        p = self.spec.p
-        zero = self.spec.zero
-        out = [zero] * ((len(self.coeffs) - 1) * p + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * p] = c.frobenius()
-        return Poly(self.spec, out)
+        spec = self.spec
+        p = spec.p
+        out = [0] * ((len(self.codes) - 1) * p + 1)
+        out[::p] = map(spec.arith.frob, self.codes)
+        return Poly._raw(spec, tuple(out))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.spec == other.spec
+        return self.codes == other.codes and self.spec == other.spec
 
     def __hash__(self):
-        return hash((self.coeffs, self.spec.p, self.spec.k))
+        return hash((self.codes, self.spec.p, self.spec.k))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.codes)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.codes:
             return "0"
+        make = self.spec._make
         terms = []
-        for e, c in enumerate(self.coeffs):
+        for e, c in enumerate(self.codes):
             if not c:
                 continue
-            cs = str(c)
+            cs = str(make(c))
             needs_parens = "+" in cs
             if e == 0:
                 terms.append(f"({cs})" if needs_parens else cs)
                 continue
             t = "T" if e == 1 else f"T^{e}"
-            if c == self.spec.one:
+            if c == 1:
                 terms.append(t)
             else:
                 terms.append(f"({cs})*{t}" if needs_parens else f"{cs}*{t}")
@@ -245,27 +299,22 @@ class RatFunc:
             if m:
                 num, den = num.rshift(m), den.rshift(m)
             if den.degree == 0:
-                c = den.coeffs[0]
-                num = num if c == num.spec.one else num.scale(c.inverse())
+                num = num._scale(num.spec.arith.inv(den.codes[0]))
                 den = Poly.one(num.spec)
-            elif den.ord == den.degree or num.ord == num.degree:
-                # a monomial on either side is coprime to the other side now
-                if not den.is_monic():
-                    inv = den.lc().inverse()
-                    num, den = num.scale(inv), den.scale(inv)
             else:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.divmod(g)[0]
-                    den = den.divmod(g)[0]
-                if not den.is_monic():
-                    inv = den.lc().inverse()
-                    num = num.scale(inv)
-                    den = den.scale(inv)
+                if den.ord != den.degree and num.ord != num.degree:
+                    # (a monomial on either side is coprime to the other side now)
+                    g = poly_gcd(num, den)
+                    if g.degree > 0:
+                        num = num // g
+                        den = den // g
+                if den.codes[-1] != 1:
+                    inv = num.spec.arith.inv(den.codes[-1])
+                    num, den = num._scale(inv), den._scale(inv)
         self.spec = num.spec
         self.num = num
         self.den = den
-        self.val = (num.ord - den.ord) if num.coeffs else INF
+        self.val = (num.ord - den.ord) if num.codes else INF
 
     @classmethod
     def _raw(cls, num: Poly, den: Poly) -> "RatFunc":
@@ -274,7 +323,7 @@ class RatFunc:
         self.spec = num.spec
         self.num = num
         self.den = den
-        self.val = (num.ord - den.ord) if num.coeffs else INF
+        self.val = (num.ord - den.ord) if num.codes else INF
         return self
 
     @classmethod
@@ -305,7 +354,7 @@ class RatFunc:
         return self.val >= 0
 
     def is_zero(self) -> bool:
-        return not self.num.coeffs
+        return not self.num.codes
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
@@ -361,9 +410,9 @@ class RatFunc:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in K")
         num, den = self.den, self.num
-        if not den.is_monic():
-            inv = den.lc().inverse()
-            num, den = num.scale(inv), den.scale(inv)
+        if den.codes[-1] != 1:
+            inv = self.spec.arith.inv(den.codes[-1])
+            num, den = num._scale(inv), den._scale(inv)
         return RatFunc._raw(num, den)
 
     def __truediv__(self, other):
@@ -388,7 +437,7 @@ class RatFunc:
         return result
 
     def __bool__(self):
-        return bool(self.num.coeffs)
+        return bool(self.num.codes)
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):

@@ -4,7 +4,7 @@ import itertools
 import operator
 from functools import reduce
 
-from hopforders.fields import FieldSpec
+from hopforders.fields import FieldSpec, _poly_divmod, _poly_mul
 from hopforders.matrix import Mat
 from hopforders.ratfunc import Poly, RatFunc
 
@@ -13,6 +13,10 @@ F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 F4 = FieldSpec(2, 2, (1, 1, 1))       # F_2[a]/(a^2+a+1)
 F9 = FieldSpec(3, 2, (1, 0, 1))       # F_3[a]/(a^2+1)
+F8 = FieldSpec(2, 3, (1, 1, 0, 1))    # F_2[a]/(a^3+a+1)
+F16 = FieldSpec(2, 4, (1, 1, 0, 0, 1))  # F_2[a]/(a^4+a+1)
+F25 = FieldSpec(5, 2, (2, 1, 1))      # F_5[a]/(a^2+a+2)
+F27 = FieldSpec(3, 3, (1, 2, 0, 1))   # F_3[a]/(a^3+2a+1)
 
 
 def pi(spec, m=1):
@@ -171,3 +175,49 @@ def cofactor_inverse(rows, zero):
 def deficient(rows, zero):
     """Replace the last row by the sum of the others: rank < n."""
     return rows[:-1] + [[reduce(operator.add, col, zero) for col in zip(*rows[:-1])]]
+
+
+# -- reference F_q arithmetic on digit tuples, independent of the code tables --
+
+def _padded(spec, digits):
+    return tuple(digits) + (0,) * (spec.k - len(digits))
+
+
+def digit_add(spec, x, y):
+    return tuple((a + b) % spec.p for a, b in zip(x, y))
+
+
+def digit_sub(spec, x, y):
+    return tuple((a - b) % spec.p for a, b in zip(x, y))
+
+
+def digit_mul(spec, x, y):
+    prod = _poly_mul(list(x), list(y), spec.p)
+    return _padded(spec, _poly_divmod(prod, spec.modulus, spec.p)[1])
+
+
+def digit_frobenius(spec, x):
+    out = _padded(spec, [1])
+    for _ in range(spec.p):
+        out = digit_mul(spec, out, x)
+    return out
+
+
+def digit_inverse(spec, x):
+    """The y with x * y = 1, by search over all q digit tuples."""
+    one = _padded(spec, [1])
+    return next(el.coeffs for el in spec.elements() if digit_mul(spec, x, el.coeffs) == one)
+
+
+# -- reference integrality test, independent of the elimination in hopforders --
+
+def reference_order(B, theta):
+    """A = cofactor_inverse(Theta) * B * Theta^(p) by RatFunc arithmetic: A when
+    integral, else the first row-major offender (row, col, valuation, str(entry))."""
+    zero = RatFunc.zero(theta.spec)
+    A = Mat(cofactor_inverse([list(r) for r in theta.rows], zero)) @ B @ theta.twist()
+    res = A.is_integral()
+    if res:
+        return A
+    w = res.witness
+    return (w.row, w.col, w.valuation, str(w.entry))

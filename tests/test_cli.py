@@ -335,6 +335,35 @@ def test_resource_limits_exit_2(capsys):
         assert limit in captured.err
 
 
+def test_rank1_exponent_limit_exit_2(capsys):
+    assert main(["rank1", "--field", "p=2", "--b", "T", "--i", str(MAX_DEGREE + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_DEGREE" in captured.err
+
+
+def test_batch_mismatch_exits_3(capsys, monkeypatch):
+    """A kernel verdict that the object-level oracle contradicts is an
+    internal error: one line on stderr, exit 3, no traceback."""
+    from hopforders import _batch
+    kernel = _batch.oracle_verdicts
+
+    def flipped(grid, bint):
+        verdicts = kernel(grid, bint).copy()
+        verdicts[1] = not verdicts[1]
+        return verdicts
+
+    monkeypatch.setattr(_batch, "oracle_verdicts", flipped)
+    code = main(["oracle-check", "--family", "alpha_p2", "--field", "p=2",
+                 "--i", "0", "--j", "0", "--depth", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: batch/object mismatch")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 HELP = {
     "same-order": """\
 usage: hopforders same-order [-h] --field FIELD --theta THETA --theta2 THETA2

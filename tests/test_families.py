@@ -7,6 +7,7 @@ from hopforders.families import (MAX_CELL_POINTS, Family, OrderRecord,
                                  predicate, rank1_orders, theta_for_record)
 from hopforders.matrix import Mat
 from hopforders.orders import same_order
+from hopforders.parse import MAX_DEGREE
 from hopforders.ratfunc import Poly, RatFunc
 
 from helpers import F2, F3, F4, F5, brute_force_points, pi
@@ -287,6 +288,24 @@ def test_rank1_description():
     res = rank1_orders(RatFunc.zero(F2), 2)
     assert "T^2*t" in res.description
     assert res.relation == "u^2 = 0*u"
+
+
+def test_rank1_exponent_limit():
+    """|(p-1) i| up to MAX_DEGREE is decided; one past it is refused before
+    T^((p-1) i) is built."""
+    assert rank1_orders(pi(F2), MAX_DEGREE)
+    assert not rank1_orders(pi(F3), -MAX_DEGREE // 2)
+    for spec, i in ((F2, MAX_DEGREE + 1), (F2, -MAX_DEGREE - 1), (F3, MAX_DEGREE // 2 + 1)):
+        with pytest.raises(ValueError, match="MAX_DEGREE"):
+            rank1_orders(pi(spec), i)
+        with pytest.raises(ValueError, match="MAX_DEGREE"):
+            rank1_orders(RatFunc.zero(spec), i)
+
+
+def test_family_matrix_shared_per_family_and_spec():
+    assert family_matrix(Family.MONO_P2, F3) is family_matrix(Family.MONO_P2, F3, 2)
+    assert family_matrix(Family.ALPHA_P_N, F2, 3) is family_matrix(Family.ALPHA_P_N, F2, 3)
+    assert family_matrix(Family.MONO_P2, F3) is not family_matrix(Family.MONO_P2, F2)
 
 
 def test_sweep_cell_limit_refuses_before_any_work(monkeypatch):

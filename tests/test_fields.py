@@ -1,10 +1,14 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopforders.fields import MAX_Q, FieldSpec, is_prime
 
-from helpers import F2, F3, F4, F5, F9
+from helpers import (F2, F3, F4, F5, F8, F9, F16, F25, F27, digit_add, digit_frobenius,
+                     digit_inverse, digit_mul, digit_sub)
 
 ALL_SPECS = [F2, F3, F5, F4, F9]
 
@@ -148,3 +152,41 @@ def test_field_size_limit():
             FieldSpec(*args)
     with pytest.raises(ValueError, match="prime"):    # small inputs keep their messages
         FieldSpec(4)
+
+
+@pytest.mark.parametrize("spec", [F4, F8, F9, F16, F25, F27], ids=lambda s: f"F{s.q}")
+def test_code_arithmetic_matches_digit_reference(spec):
+    """Every pair, against _poly_mul/_poly_divmod on the digit tuples."""
+    p = spec.p
+    els = list(spec.elements())
+    for code, x in enumerate(els):
+        xd = x.coeffs
+        assert x.code == code == sum(d * p ** t for t, d in enumerate(xd))
+        assert spec.element(xd) is x
+        assert x.frobenius().coeffs == digit_frobenius(spec, xd)
+        assert (-x).coeffs == digit_sub(spec, spec.zero.coeffs, xd)
+        if x:
+            assert x.inverse().coeffs == digit_inverse(spec, xd)
+        for y in els:
+            yd = y.coeffs
+            assert (x + y).coeffs == digit_add(spec, xd, yd)
+            assert (x - y).coeffs == digit_sub(spec, xd, yd)
+            assert (x * y).coeffs == digit_mul(spec, xd, yd)
+
+
+def test_field_at_max_q_builds_tables_and_computes():
+    spec = FieldSpec(2, 16, (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,))
+    assert spec.q == MAX_Q
+    t0 = time.perf_counter()
+    ar = spec.arith
+    assert time.perf_counter() - t0 < 30
+    assert len(ar.log) == spec.q and len(ar.exp) == 2 * (spec.q - 1)   # O(q) tables
+    rng = random.Random("max_q")
+    for _ in range(200):
+        x = spec.element([rng.randrange(2) for _ in range(16)])
+        y = spec.element([rng.randrange(2) for _ in range(16)])
+        assert (x * y).coeffs == digit_mul(spec, x.coeffs, y.coeffs)
+        assert (x + y).coeffs == digit_add(spec, x.coeffs, y.coeffs)
+        assert x.frobenius().coeffs == digit_mul(spec, x.coeffs, x.coeffs)
+        if x:
+            assert x * x.inverse() == spec.one

@@ -12,7 +12,7 @@ from hopforders.ratfunc import RatFunc
 
 from helpers import (F2, F3, F4, F5, F9, deficient, minor_rank, pi, rand_fq,
                      rand_integral_mat, rand_invertible, rand_unit_matrix,
-                     worked_example)
+                     reference_order, worked_example)
 
 
 # -- presentations --
@@ -82,6 +82,65 @@ def test_not_integral_witness():
         order_from_theta(B, theta)
     w = exc.value.witness
     assert (w.row, w.col, w.valuation) == (2, 1, -1)
+
+
+def test_not_integral_error_message_and_witness():
+    """The message is rendered on demand, from the witness it carries."""
+    B = Mat.from_ints(F2, [[0, 1], [0, 0]])
+    theta = Mat([[RatFunc.one(F2), RatFunc.zero(F2)], [RatFunc.one(F2), pi(F2)]])
+    with pytest.raises(NotIntegralError) as exc:
+        order_from_theta(B, theta)
+    w = exc.value.witness
+    assert (w.row, w.col, w.valuation, w.entry) == (2, 1, -1, pi(F2, -1))
+    assert str(exc.value) == "resulting matrix is not integral: entry (2,1) has valuation -1: 1/T"
+
+
+def _reference_cases(rng, spec, n):
+    """Random Theta with general denominators, unit Thetas (integral A) and
+    unit Thetas scaled by T^+-1, against a B whose denominators are units
+    other than T-powers."""
+    for kind in range(6):
+        B = rand_integral_mat(rng, spec, n, 1)
+        if kind < 3:
+            theta = rand_invertible(rng, spec, n, 2)
+        else:
+            theta = rand_unit_matrix(rng, spec, n, 1)
+            if kind == 4:
+                theta = theta.scale(pi(spec, -1))
+            elif kind == 5:
+                theta = theta.scale(pi(spec))
+        yield B, theta
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=lambda s: f"F{s.q}")
+def test_order_from_theta_matches_cofactor_reference(spec):
+    """A, or the witness (row, col, valuation, entry text), equals the one
+    from cofactor_inverse(Theta) * B * Theta^(p) in RatFunc arithmetic."""
+    rng = random.Random(f"oft-reference-{spec.q}")
+    verdicts = set()
+    for n in (2, 3):
+        for _ in range(3):
+            for B, theta in _reference_cases(rng, spec, n):
+                expected = reference_order(B, theta)
+                try:
+                    got = order_from_theta(B, theta).A
+                except NotIntegralError as exc:
+                    w = exc.witness
+                    got = (w.row, w.col, w.valuation, str(w.entry))
+                assert got == expected
+                verdicts.add(isinstance(got, Mat))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=lambda s: f"F{s.q}")
+def test_order_from_theta_singular_theta_message(spec):
+    rng = random.Random(f"oft-singular-{spec.q}")
+    zero = RatFunc.zero(spec)
+    for n in (2, 3):
+        B = rand_integral_mat(rng, spec, n, 1)
+        singular = Mat(deficient([list(r) for r in rand_invertible(rng, spec, n, 1).rows], zero))
+        with pytest.raises(SingularMatrixError, match=r"^matrix is singular over K$"):
+            order_from_theta(B, singular)
 
 
 def test_order_from_theta_preconditions():
