@@ -52,9 +52,6 @@ class CellGrid:
         self.cols = cols
         self.v_theta = v
 
-    def digits(self, row: int) -> list[int]:
-        return [int(c[row]) for c in self.cols]
-
     def theta_scalar(self) -> dict:
         return {e: c for e, c in zip(self.exps, self.cols)}
 
@@ -159,7 +156,6 @@ def predicate_verdicts(grid: CellGrid, family: str) -> np.ndarray:
     if family == "zp_squared":
         if i < 0 or j < 0:
             return np.zeros(n, dtype=bool)
-        theta = grid.theta_scalar()
         theta_p = {p * e: c for e, c in zip(grid.exps, grid.cols)}
         shifted = {e + (p - 1) * i: c for e, c in zip(grid.exps, grid.cols)}
         return _valuations(_sub(theta_p, shifted, p), n) >= j

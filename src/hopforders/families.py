@@ -279,6 +279,13 @@ def _record_from_row(family: Family, spec: FieldSpec, fq: list[FqElem],
 # kernel holds a whole cell in memory at once.
 MAX_CELL_POINTS = 2 ** 20
 
+# The cross-check policy of the kernel's verdicts on prime fields: every row
+# of a cell of at most EXHAUSTIVE_LIMIT rows is re-decided by the object
+# oracle, else SPOT_CHECKS seeded rows (ENUM_SPOT_CHECKS in enumerate_orders).
+EXHAUSTIVE_LIMIT = 4096
+SPOT_CHECKS = 64
+ENUM_SPOT_CHECKS = 16
+
 
 def default_depth(p: int) -> int:
     """Sweep depth exercising every closed-form bound on both sides; for
@@ -455,14 +462,13 @@ def _witness(rec: OrderRecord) -> Witness | None:
 def oracle_check_family(family: Family, spec: FieldSpec,
                         i_range: Iterable[int], j_range: Iterable[int],
                         depth: int | None = None,
-                        predicate_fn: Callable[[OrderRecord], bool] | None = None,
-                        spot_checks: int = 64,
-                        exhaustive_limit: int = 4096) -> AgreementReport:
+                        predicate_fn: Callable[[OrderRecord], bool] | None = None
+                        ) -> AgreementReport:
     """Compare predicate vs oracle at every grid point; report disagreements.
 
     The field decides the path.  Prime fields run the vectorized kernels,
     cross-checked against the object-level oracle/predicate exhaustively when
-    a cell has at most `exhaustive_limit` points and on `spot_checks` seeded
+    a cell has at most EXHAUSTIVE_LIMIT points and on SPOT_CHECKS seeded
     samples otherwise; every disagreement is confirmed on the object path and
     a mismatch raises BatchMismatchError.  Extension fields run the object
     path at every point.  A custom predicate_fn is evaluated per point (meant
@@ -471,7 +477,7 @@ def oracle_check_family(family: Family, spec: FieldSpec,
     family, depth, i_values, j_values, cells = _sweep(
         family, spec, i_range, j_range, depth,
         predicate_fn if predicate_fn is not None else predicate,
-        (exhaustive_limit, spot_checks, "chk"))
+        (EXHAUSTIVE_LIMIT, SPOT_CHECKS, "chk"))
     total = 0
     disagreements: list[Disagreement] = []
     for points, disputed in cells:
@@ -490,10 +496,11 @@ def enumerate_orders(family: Family, spec: FieldSpec,
     The sweep covers theta = T^j plus every nonzero Laurent polynomial
     supported on [j - depth, j); distinct canonical records are distinct
     orders, so no further dedupe is needed.  On prime fields the kernel's
-    verdicts are spot-checked on 16 seeded rows per cell.  Deterministic
-    order: (i, j, canonical theta).
+    verdicts are spot-checked on ENUM_SPOT_CHECKS seeded rows per cell.
+    Deterministic order: (i, j, canonical theta).
     """
-    *_, cells = _sweep(family, spec, i_range, j_range, depth, None, (0, 16, "enum"))
+    *_, cells = _sweep(family, spec, i_range, j_range, depth, None,
+                       (0, ENUM_SPOT_CHECKS, "enum"))
     return sorted((rec for _, disputed in cells for rec, _, _ in disputed),
                   key=OrderRecord.sort_key)
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import operator
 from typing import Sequence, Union
 
+# Poly (hopforders.ratfunc) is imported at call time: ratfunc imports this module.
+
 # The largest field size q = p^k a FieldSpec accepts.  It bounds the work of
 # the primality and irreducibility checks at construction and of everything
 # that lists the q elements.
@@ -42,57 +44,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- helpers on F_p[x] with plain-int coefficient lists (ascending powers);
-#    they build the tables and test the modulus, off the hot path --
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = [c % p for c in a]
-    _trim(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and a:
-        c = (a[-1] * inv_lead) % p
-        if c:
-            d = len(a) - len(b)
-            q[d] = c
-            for i, bi in enumerate(b):
-                a[d + i] = (a[d + i] - c * bi) % p
-        a.pop()
-        _trim(a)
-    return q, a
-
-
-def _is_irreducible(m: Sequence[int], p: int) -> bool:
-    """Brute-force divisor search; fine for the small k used here."""
-    k = len(m) - 1
+def _is_irreducible(m) -> bool:
+    """Whether the monic `Poly` m over F_p has no monic divisor of degree
+    1..k/2; a brute-force search, fine for the small k used here."""
+    from .ratfunc import Poly
+    spec, p, k = m.spec, m.spec.p, m.degree
     for d in range(1, k // 2 + 1):
-        for idx in range(p ** d):
-            cand = [0] * (d + 1)
-            v = idx
-            for i in range(d):
-                cand[i] = v % p
-                v //= p
-            cand[d] = 1  # monic
-            if not _poly_divmod(m, cand, p)[1]:
+        for low in range(p ** d):
+            if not m % Poly.from_ints(spec, [low // p ** t for t in range(d)] + [1]):
                 return False
     return True
 
@@ -147,49 +106,28 @@ class _Arith:
             self.neg = lambda x: x
 
     def _tables(self, p: int, k: int, modulus: tuple[int, ...]) -> None:
+        from .ratfunc import Poly
         q = p ** k
         n = q - 1
+        fp = FieldSpec(p)
+        m = Poly._raw(fp, modulus)
         weights = [p ** t for t in range(k)]
 
-        def digits(c):
-            return [c // w % p for w in weights]
-
-        def code(ds):
-            return sum(d * w for d, w in zip(ds, weights))
-
-        def dpow(x, e):
-            out = [1]
-            while e:
-                if e & 1:
-                    out = _poly_divmod(_poly_mul(out, x, p), modulus, p)[1]
-                x = _poly_divmod(_poly_mul(x, x, p), modulus, p)[1]
-                e >>= 1
-            return out
-
-        def times_g(ds):
-            # sum_s g_s a^s ds, one reduction mod the modulus per power of a
-            acc = [0] * k
-            for gs in gd:
-                if gs:
-                    acc = [(x + gs * y) % p for x, y in zip(acc, ds)]
-                top = ds[-1]
-                ds = [0] + ds[:-1]
-                if top:
-                    ds = [(x - top * m) % p for x, m in zip(ds, modulus)]
-            return acc
+        def poly(c):
+            return Poly.from_ints(fp, [c // w for w in weights])
 
         # the smallest code of multiplicative order n generates the tables
         factors = _prime_factors(n)
-        g = next(g for g in range(2, q) if all(dpow(digits(g), n // r) != [1] for r in factors))
-        gd = _trim(digits(g))
+        g = poly(next(c for c in range(2, q)
+                      if not any(pow(poly(c), n // r, m).is_one() for r in factors)))
         log = [0] * q
         exp = [0] * (2 * n)          # doubled, so a sum of two logs needs no mod
-        cur = [1] + [0] * (k - 1)
+        cur = Poly.one(fp)
         for i in range(n):
-            c = code(cur)
+            c = sum(d * w for d, w in zip(cur.codes, weights))
             exp[i] = exp[i + n] = c
             log[c] = i
-            cur = times_g(cur)
+            cur = cur * g % m
         self.log, self.exp = log, exp
 
         def mul(x, y):
@@ -254,15 +192,14 @@ class FieldSpec:
         else:
             if modulus is None:
                 raise ValueError(f"a degree-{k} modulus over F_{p} is required when k > 1")
-            m = _trim([int(c) % p for c in modulus])
-            if len(m) - 1 != k:
+            from .ratfunc import Poly
+            m = Poly.from_ints(FieldSpec(p), [int(c) for c in modulus])
+            if m.degree != k:
                 raise ValueError(f"modulus must have degree exactly k = {k}")
-            if m[-1] != 1:
-                inv = pow(m[-1], p - 2, p)
-                m = [(c * inv) % p for c in m]
-            if not _is_irreducible(m, p):
+            m = m.monic()
+            if not _is_irreducible(m):
                 raise ValueError("modulus is reducible over F_p")
-            self.modulus = tuple(m)
+            self.modulus = m.codes
         self.p = p
         self.k = k
         self._arith = None

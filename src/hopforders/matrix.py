@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 from .fields import FieldSpec
@@ -97,24 +96,22 @@ def _adjugate(M: list[list[Poly]]) -> tuple[list[list[Poly]], Poly]:
     return [row[n:] for row in work], det
 
 
-def _poly_matmul(X: list[list[Poly]], Y: list[list[Poly]]) -> list[list[Poly]]:
-    zero = Poly.zero(X[0][0].spec)
+def _matmul(X: Sequence[Sequence], Y: Sequence[Sequence], zero) -> list[list]:
+    """X @ Y for row lists over a ring whose elements test false exactly at
+    zero (RatFunc, Poly or FqElem): zero products are skipped, each sum starts
+    from its first term, and an entry with no nonzero term is `zero`."""
     cols = list(zip(*Y))
     out = []
     for row in X:
         out_row = []
         for col in cols:
-            acc = zero
+            acc = None
             for a, b in zip(row, col):
                 if a and b:
-                    acc = acc + a * b
-            out_row.append(acc)
+                    acc = a * b if acc is None else acc + a * b
+            out_row.append(zero if acc is None else acc)
         out.append(out_row)
     return out
-
-
-def _poly_power(x: Poly, e: int) -> Poly:
-    return reduce(operator.mul, [x] * e, Poly.one(x.spec))
 
 
 def _lcm(a: Poly, b: Poly) -> Poly:
@@ -180,21 +177,7 @@ class Mat:
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_compat(other)
-        n = self.n
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = None
-                for a, b in zip(row, col):
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                out_row.append(acc if acc is not None else RatFunc.zero(self.spec))
-            out.append(out_row)
-        return Mat(out)
+        return Mat(_matmul(self.rows, other.rows, RatFunc.zero(self.spec)))
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_compat(other)
@@ -227,7 +210,7 @@ class Mat:
         rank, last, swaps = _bareiss(M, operator.floordiv)
         if rank < self.n:
             return RatFunc.zero(self.spec)
-        return RatFunc(-last if swaps % 2 else last, _poly_power(d, self.n))
+        return RatFunc(-last if swaps % 2 else last, d ** self.n)
 
     def inv(self) -> "Mat":
         """Exact inverse d * adj M / det M for self = M / d, one canonical

@@ -23,9 +23,8 @@ import operator
 from dataclasses import dataclass
 
 from .fields import FqElem
-from .matrix import (Mat, SingularMatrixError, Witness, _adjugate, _bareiss, _poly_matmul,
-                     _poly_power)
-from .ratfunc import INF, RatFunc
+from .matrix import Mat, SingularMatrixError, Witness, _adjugate, _bareiss, _matmul
+from .ratfunc import INF, Poly, RatFunc
 
 
 class NotIntegralError(Exception):
@@ -183,8 +182,9 @@ def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
     M, d = theta._polynomial_form()
     Bm, b = B._polynomial_form()
     adj, det = _adjugate(M)
-    N = _poly_matmul(_poly_matmul(adj, Bm), [[x.pth_power() for x in row] for row in M])
-    D = det * b * _poly_power(d, theta.spec.p - 1)
+    zero = Poly.zero(theta.spec)
+    N = _matmul(_matmul(adj, Bm, zero), [[x.pth_power() for x in row] for row in M], zero)
+    D = det * b * d ** (theta.spec.p - 1)
     ord_D = D.ord
     for i, row in enumerate(N):
         for j, x in enumerate(row):
@@ -307,14 +307,6 @@ def embedding_generators(embedding: Embedding) -> list[str]:
 
 # -- special fibre: semilinear operator powers over F_q --
 
-def _fq_matmul(X, Y, zero):
-    cols = list(zip(*Y))
-    out = []
-    for row in X:
-        out.append([sum((a * b for a, b in zip(row, col)), zero) for col in cols])
-    return out
-
-
 def _fq_frobenius(X):
     return [[c.frobenius() for c in row] for row in X]
 
@@ -335,7 +327,7 @@ def special_fibre(A: Mat) -> FibreReport:
         ranks.append(_bareiss([list(row) for row in acc], operator.truediv)[0])
         if m < n:
             twisted = _fq_frobenius(twisted)
-            acc = _fq_matmul(acc, twisted, zero)
+            acc = _matmul(acc, twisted, zero)
     etale_rank = ranks[-1]
     return FibreReport(
         abar=tuple(tuple(row) for row in abar),

@@ -217,6 +217,21 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
 
+    def __pow__(self, e: int, mod: "Poly | None" = None) -> "Poly":
+        """self^e for e >= 0 by squaring and multiplying; with `mod`
+        (three-argument pow) every product is reduced mod it."""
+        if e < 0:
+            raise ValueError("a polynomial power needs e >= 0")
+        one = Poly.one(self.spec)
+        out, base = (one, self) if mod is None else (one % mod, self % mod)
+        while e:
+            if e & 1:
+                out = out * base if mod is None else out * base % mod
+            e >>= 1
+            if e:
+                base = base * base if mod is None else base * base % mod
+        return out
+
     def pth_power(self) -> "Poly":
         """(sum c_i T^i)^p = sum c_i^p T^(p i); exact in characteristic p."""
         if not self.codes:
@@ -427,14 +442,8 @@ class RatFunc:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = RatFunc.one(self.spec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        # coprime parts stay coprime, and a monic denominator stays monic
+        return RatFunc._raw(self.num ** e, self.den ** e)
 
     def __bool__(self):
         return bool(self.num.codes)

@@ -4,7 +4,7 @@ import itertools
 import operator
 from functools import reduce
 
-from hopforders.fields import FieldSpec, _poly_divmod, _poly_mul
+from hopforders.fields import FieldSpec
 from hopforders.matrix import Mat
 from hopforders.ratfunc import Poly, RatFunc
 
@@ -192,8 +192,18 @@ def digit_sub(spec, x, y):
 
 
 def digit_mul(spec, x, y):
-    prod = _poly_mul(list(x), list(y), spec.p)
-    return _padded(spec, _poly_divmod(prod, spec.modulus, spec.p)[1])
+    """Schoolbook product of the digit polynomials, then the top terms
+    reduced one at a time by the monic modulus."""
+    p, k, m = spec.p, spec.k, spec.modulus
+    prod = [0] * (2 * k - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] = (prod[i + j] + a * b) % p
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        for t in range(k + 1):
+            prod[top - k + t] = (prod[top - k + t] - c * m[t]) % p
+    return tuple(prod[:k])
 
 
 def digit_frobenius(spec, x):
@@ -211,11 +221,18 @@ def digit_inverse(spec, x):
 
 # -- reference integrality test, independent of the elimination in hopforders --
 
+def _plain_matmul(X, Y, zero):
+    n = len(X)
+    return [[reduce(operator.add, (X[i][t] * Y[t][j] for t in range(n)), zero)
+             for j in range(n)] for i in range(n)]
+
+
 def reference_order(B, theta):
     """A = cofactor_inverse(Theta) * B * Theta^(p) by RatFunc arithmetic: A when
     integral, else the first row-major offender (row, col, valuation, str(entry))."""
     zero = RatFunc.zero(theta.spec)
-    A = Mat(cofactor_inverse([list(r) for r in theta.rows], zero)) @ B @ theta.twist()
+    inv = cofactor_inverse([list(r) for r in theta.rows], zero)
+    A = Mat(_plain_matmul(_plain_matmul(inv, B.rows, zero), theta.twist().rows, zero))
     res = A.is_integral()
     if res:
         return A

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -38,6 +39,25 @@ def test_spec_validation():
         FieldSpec(2, 2, (1, 0, 1))       # a^2+1 = (a+1)^2 over F_2
     with pytest.raises(ValueError):
         FieldSpec(2, 2, (1, 1))          # degree mismatch
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_spec_accepts_exactly_the_rootless_monic_moduli(p, k):
+    """In degree 2 and 3 irreducible means without a root in F_p."""
+    for low in itertools.product(range(p), repeat=k):
+        m = low + (1,)
+        rootless = all(sum(c * r ** t for t, c in enumerate(m)) % p for r in range(p))
+        if rootless:
+            assert FieldSpec(p, k, m).modulus == m
+        else:
+            with pytest.raises(ValueError, match="reducible"):
+                FieldSpec(p, k, m)
+
+
+def test_non_monic_modulus_normalizes():
+    spec = FieldSpec(3, 2, (2, 0, 2))
+    assert spec == FieldSpec(3, 2, (1, 0, 1)) and spec.modulus == (1, 0, 1)
+    assert spec.spec_text() == "p=3;k=2;mod=1+a^2"
 
 
 def test_spec_value_equality():
@@ -156,7 +176,8 @@ def test_field_size_limit():
 
 @pytest.mark.parametrize("spec", [F4, F8, F9, F16, F25, F27], ids=lambda s: f"F{s.q}")
 def test_code_arithmetic_matches_digit_reference(spec):
-    """Every pair, against _poly_mul/_poly_divmod on the digit tuples."""
+    """Every pair, against the schoolbook digit product reduced by the
+    modulus (tests/helpers.py)."""
     p = spec.p
     els = list(spec.elements())
     for code, x in enumerate(els):
@@ -175,18 +196,20 @@ def test_code_arithmetic_matches_digit_reference(spec):
 
 
 def test_field_at_max_q_builds_tables_and_computes():
-    spec = FieldSpec(2, 16, (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,))
-    assert spec.q == MAX_Q
-    t0 = time.perf_counter()
-    ar = spec.arith
-    assert time.perf_counter() - t0 < 30
-    assert len(ar.log) == spec.q and len(ar.exp) == 2 * (spec.q - 1)   # O(q) tables
-    rng = random.Random("max_q")
-    for _ in range(200):
-        x = spec.element([rng.randrange(2) for _ in range(16)])
-        y = spec.element([rng.randrange(2) for _ in range(16)])
-        assert (x * y).coeffs == digit_mul(spec, x.coeffs, y.coeffs)
-        assert (x + y).coeffs == digit_add(spec, x.coeffs, y.coeffs)
-        assert x.frobenius().coeffs == digit_mul(spec, x.coeffs, x.coeffs)
-        if x:
-            assert x * x.inverse() == spec.one
+    for args, q in (((2, 16, (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,)), MAX_Q),
+                    ((3, 10, (1, 0, 2) + (0,) * 7 + (1,)), 3 ** 10)):   # 1 + 2a^2 + a^10
+        spec = FieldSpec(*args)
+        assert spec.q == q
+        t0 = time.perf_counter()
+        ar = spec.arith
+        assert time.perf_counter() - t0 < 30
+        assert len(ar.log) == spec.q and len(ar.exp) == 2 * (spec.q - 1)   # O(q) tables
+        rng = random.Random("max_q")
+        for _ in range(200):
+            x = spec.element([rng.randrange(spec.p) for _ in range(spec.k)])
+            y = spec.element([rng.randrange(spec.p) for _ in range(spec.k)])
+            assert (x * y).coeffs == digit_mul(spec, x.coeffs, y.coeffs)
+            assert (x + y).coeffs == digit_add(spec, x.coeffs, y.coeffs)
+            assert x.frobenius().coeffs == digit_frobenius(spec, x.coeffs)
+            if x:
+                assert x * x.inverse() == spec.one

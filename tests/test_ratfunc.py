@@ -4,7 +4,8 @@ import pytest
 
 from hopforders.ratfunc import INF, Poly, RatFunc, poly_gcd
 
-from helpers import F2, F3, F4, F5, pi, rand_nonzero_ratfunc, rand_ratfunc
+from helpers import (F2, F3, F4, F5, F9, pi, rand_nonzero_ratfunc, rand_poly,
+                     rand_ratfunc)
 
 
 def P(spec, *ints):
@@ -137,6 +138,39 @@ def test_pth_power_is_ring_homomorphism():
             assert (x * y).pth_power() == x.pth_power() * y.pth_power()
             assert x.pth_power() == x ** spec.p
             assert x.pth_power().val == (spec.p * x.val if not x.is_zero() else INF)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=lambda s: f"F{s.q}")
+def test_poly_pow_matches_repeated_multiplication(spec):
+    rng = random.Random(f"poly_pow{spec.q}")
+    for _ in range(30):
+        x = rand_poly(rng, spec)
+        m = rand_poly(rng, spec, nonzero=True) + Poly.monomial(spec, 4)
+        ref = Poly.one(spec)
+        for e in range(8):
+            assert x ** e == ref
+            assert pow(x, e, m) == ref % m
+            ref = ref * x
+    with pytest.raises(ValueError):
+        P(spec, 1, 1) ** -1
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=lambda s: f"F{s.q}")
+def test_ratfunc_pow_matches_repeated_multiplication(spec):
+    rng = random.Random(f"ratfunc_pow{spec.q}")
+    one = RatFunc.one(spec)
+    for _ in range(30):
+        x = rand_nonzero_ratfunc(rng, spec)
+        for e in range(-3, 7):
+            ref = one
+            for _ in range(abs(e)):
+                ref = ref * x
+            assert x ** e == (ref if e >= 0 else one / ref)
+    zero = RatFunc.zero(spec)
+    assert zero ** 0 == one
+    assert all(zero ** e == zero for e in range(1, 7))
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
 
 
 def test_inverse_and_division():
