@@ -1,152 +1,150 @@
-"""Vectorized exact sweeps over the (i, j, theta) grid, for prime fields.
+"""Vectorized exact sweeps over the (i, j, theta) grid, for every field F_q.
 
-Large enumerations evaluate the integrality condition at up to p^depth
+Large enumerations evaluate the integrality condition at up to q^depth
 candidate thetas per (i, j) cell.  Running every point through the
 object-level matrix pipeline is far too slow in CPython, so this module
-performs the same computation batched: a scalar is a Laurent polynomial in T
-over F_p holding one int64 coefficient column per sweep point (a plain int
-stands for a constant column), every product and sum is reduced mod p on the
-spot, and the 2x2 pipeline below is the generic A = Theta^{-1} B Theta^(p)
-specialized to Theta = [[T^i, 0], [theta, T^j]]:
+performs the same computation batched: a `Laurent` scalar holds one int64
+column of F_q codes per exponent of T, one row per sweep point (a plain int
+stands for a constant column), and its operators run the field's code
+arithmetic on whole columns.  The 2x2 pipeline below is the generic
+A = Theta^{-1} B Theta^(p) specialized to Theta = [[T^i, 0], [theta, T^j]]:
 
     det Theta = T^(i+j),  adj Theta = [[T^j, 0], [-theta, T^i]],
     A integral  <=>  adj(Theta) @ B @ Theta^(p) has no coefficient below T^(i+j).
 
-All arithmetic is integer arithmetic mod p, hence exact.  Callers
-(families.oracle_check_family / enumerate_orders) cross-check these verdicts
-against the object-level oracle, exhaustively on small cells and on seeded
-samples of large ones; any mismatch raises.
-
-Only k = 1 coefficient fields are supported here; extension fields fall back
-to the object-level path in the callers.
+All arithmetic is exact.  Callers (families.oracle_check_family /
+enumerate_orders) cross-check these verdicts against the object-level oracle,
+exhaustively on small cells and on seeded samples of large ones; any mismatch
+raises.  This is the one module that uses numpy; `families` imports it when a
+sweep runs.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 
+from .fields import FieldSpec
+from .matrix import _matmul
+
 BIG = 1 << 40  # stand-in for +infinity in integer valuation arrays
+
+
+@functools.lru_cache(maxsize=16)
+def _arith(spec: FieldSpec):
+    """The field's code arithmetic on int64 columns: add, neg, mul, frob.
+
+    For k = 1 it is spec.arith itself, whose operations work on arrays as on
+    ints.  For k > 1 multiplication and Frobenius look up numpy copies of the
+    field's tables; addition is XOR for p = 2 and digit-wise mod p otherwise.
+    """
+    ar = spec.arith
+    if spec.k == 1:
+        return ar
+    log, exp = np.array(ar.log), np.array(ar.exp)
+    out = SimpleNamespace(
+        add=ar.add, neg=ar.neg,
+        mul=lambda x, y: np.where((x != 0) & (y != 0), exp[log[x] + log[y]], 0),
+        frob=np.array([ar.frob(c) for c in range(spec.q)]).__getitem__)
+    if spec.p > 2:
+        p, weights = spec.p, [spec.p ** t for t in range(spec.k)]
+        out.add = lambda x, y: sum((x // w + y // w) % p * w for w in weights)
+        out.neg = lambda x: sum(-(x // w) % p * w for w in weights)
+    return out
+
+
+class Laurent:
+    """A Laurent polynomial in T over F_q per grid row: {exponent: column}.
+    False exactly when it has no terms, as `matrix._matmul` expects."""
+
+    __slots__ = ("ar", "n", "terms")
+
+    def __init__(self, ar, n: int, terms: dict):
+        self.ar, self.n, self.terms = ar, n, terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other: "Laurent") -> "Laurent":
+        add = self.ar.add
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = add(out[e], c) if e in out else c
+        return Laurent(self.ar, self.n, out)
+
+    def __neg__(self) -> "Laurent":
+        neg = self.ar.neg
+        return Laurent(self.ar, self.n, {e: neg(c) for e, c in self.terms.items()})
+
+    def __sub__(self, other: "Laurent") -> "Laurent":
+        return self + -other
+
+    def __mul__(self, other: "Laurent") -> "Laurent":
+        mul, add = self.ar.mul, self.ar.add
+        out: dict = {}
+        for (e1, c1), (e2, c2) in itertools.product(self.terms.items(), other.terms.items()):
+            e, prod = e1 + e2, mul(c1, c2)
+            out[e] = add(out[e], prod) if e in out else prod
+        return Laurent(self.ar, self.n, out)
+
+    @property
+    def val(self) -> np.ndarray:
+        """Per row, the least exponent with a nonzero coefficient; BIG if none."""
+        val = np.full(self.n, BIG, dtype=np.int64)
+        for e in sorted(self.terms, reverse=True):
+            val = np.where(self.terms[e] != 0, e, val)
+        return val
 
 
 class CellGrid:
     """All nonzero theta candidates supported on exponents [j-depth, j-1].
 
-    Row r of the grid encodes theta = sum_d cols[d][r] * T^(exps[d]), the
-    base-p digits of r; row 0 is the zero theta and is skipped by callers.
+    Row r of the grid encodes theta = sum_d c_d T^(j-depth+d), the c_d being
+    the base-q digits of r read as F_q codes; row 0 is the zero theta and is
+    skipped by callers.
     """
 
-    __slots__ = ("p", "i", "j", "depth", "n", "exps", "cols", "v_theta")
+    __slots__ = ("p", "i", "j", "depth", "n", "ar", "theta", "theta_p", "v_theta")
 
-    def __init__(self, p: int, i: int, j: int, depth: int):
-        n = p ** depth
+    def __init__(self, spec: FieldSpec, i: int, j: int, depth: int):
+        q, n, ar = spec.q, spec.q ** depth, _arith(spec)
         base = np.arange(n, dtype=np.int64)
-        cols = [(base // p ** d) % p for d in range(depth)]
-        exps = [j - depth + d for d in range(depth)]
-        v = np.full(n, BIG, dtype=np.int64)
-        for e, col in zip(exps, cols):
-            newly = (v == BIG) & (col != 0)
-            v[newly] = e
-        self.p, self.i, self.j, self.depth = p, i, j, depth
-        self.n = n
-        self.exps = exps
-        self.cols = cols
-        self.v_theta = v
+        self.p, self.i, self.j, self.depth, self.n, self.ar = spec.p, i, j, depth, n, ar
+        self.theta = Laurent(ar, n, {j - depth + d: base // q ** d % q for d in range(depth)})
+        # theta^(p): Frobenius on the coefficients, exponents scaled by p
+        self.theta_p = Laurent(ar, n, {self.p * e: ar.frob(c)
+                                       for e, c in self.theta.terms.items()})
+        self.v_theta = self.theta.val
 
-    def theta_scalar(self) -> dict:
-        return {e: c for e, c in zip(self.exps, self.cols)}
-
-
-# -- batch Laurent scalars: {exponent: int64 column or int}, None = zero --
-
-def _mul(x, y, p):
-    if x is None or y is None:
-        return None
-    out: dict = {}
-    for e1, v1 in x.items():
-        for e2, v2 in y.items():
-            e = e1 + e2
-            prod = (v1 * v2) % p
-            acc = out.get(e)
-            out[e] = prod if acc is None else (acc + prod) % p
-    return out
-
-
-def _add(x, y, p):
-    if x is None:
-        return y
-    if y is None:
-        return x
-    out = dict(x)
-    for e, v in y.items():
-        acc = out.get(e)
-        out[e] = v if acc is None else (acc + v) % p
-    return out
-
-
-def _neg(x, p):
-    if x is None:
-        return None
-    return {e: (-v) % p for e, v in x.items()}
-
-
-def _sub(x, y, p):
-    return _add(x, _neg(y, p), p)
-
-
-def _matmul(x, y, p):
-    out = [[None, None], [None, None]]
-    for r in range(2):
-        for c in range(2):
-            acc = None
-            for t in range(2):
-                acc = _add(acc, _mul(x[r][t], y[t][c], p), p)
-            out[r][c] = acc
-    return out
-
-
-def _valuations(x, n: int) -> np.ndarray:
-    """Per-row minimal exponent carrying a nonzero coefficient; BIG if none."""
-    val = np.full(n, BIG, dtype=np.int64)
-    if x is None:
-        return val
-    for e in sorted(x):
-        arr = np.broadcast_to(np.asarray(x[e]), (n,))
-        newly = (val == BIG) & (arr != 0)
-        val[newly] = e
-    return val
+    def pi_power(self, e: int) -> Laurent:
+        """T^e on every row."""
+        return Laurent(self.ar, self.n, {e: 1})
 
 
 def oracle_verdicts(grid: CellGrid, b01: list[list[int]]) -> np.ndarray:
     """Integrality of Theta^{-1} B Theta^(p) per theta row (row 0 meaningless)."""
     p, i, j = grid.p, grid.i, grid.j
-    theta = grid.theta_scalar()
-    # theta^p: coefficient Frobenius is the identity on F_p, exponents scale by p
-    theta_p = {p * e: c for e, c in zip(grid.exps, grid.cols)}
-    adj = [[{j: 1}, None], [_neg(theta, p), {i: 1}]]
-    tw = [[{p * i: 1}, None], [theta_p, {p * j: 1}]]
-    bm = [[{0: 1} if b01[r][c] else None for c in range(2)] for r in range(2)]
-    numerator = _matmul(adj, _matmul(bm, tw, p), p)
+    T, zero = grid.pi_power, Laurent(grid.ar, grid.n, {})
+    adj = [[T(j), zero], [-grid.theta, T(i)]]
+    twist = [[T(p * i), zero], [grid.theta_p, T(p * j)]]
+    bm = [[T(0) if b else zero for b in row] for row in b01]
+    numerator = _matmul(adj, _matmul(bm, twist, zero), zero)
     cut = i + j  # dividing by det = T^(i+j)
     ok = np.ones(grid.n, dtype=bool)
-    for r in range(2):
-        for c in range(2):
-            entry = numerator[r][c]
-            if entry is None:
-                continue
-            for e, v in entry.items():
-                if e >= cut:
-                    continue
-                if isinstance(v, np.ndarray):
-                    ok &= v == 0
-                elif v % p:
-                    ok[:] = False
+    for entry in itertools.chain.from_iterable(numerator):
+        for e, c in entry.terms.items():
+            if e < cut:
+                ok &= c == 0
     return ok
 
 
 def predicate_verdicts(grid: CellGrid, family: str) -> np.ndarray:
     """Vectorized twins of the closed-form membership predicates."""
     p, i, j, n = grid.p, grid.i, grid.j, grid.n
-    v = grid.v_theta
+    v, th, T = grid.v_theta, grid.theta, grid.pi_power
     if family == "alpha_p_n":
         return np.ones(n, dtype=bool)
     if family == "alpha_p2":
@@ -156,15 +154,11 @@ def predicate_verdicts(grid: CellGrid, family: str) -> np.ndarray:
     if family == "zp_squared":
         if i < 0 or j < 0:
             return np.zeros(n, dtype=bool)
-        theta_p = {p * e: c for e, c in zip(grid.exps, grid.cols)}
-        shifted = {e + (p - 1) * i: c for e, c in zip(grid.exps, grid.cols)}
-        return _valuations(_sub(theta_p, shifted, p), n) >= j
+        diff = grid.theta_p - T((p - 1) * i) * th
+        return diff.val >= j
     if family == "mono_p2":
-        theta = grid.theta_scalar()
-        theta_p = {p * e: c for e, c in zip(grid.exps, grid.cols)}
-        diff = _sub({(p + 1) * i: 1}, _mul(theta_p, theta, p), p)
-        base = (p * j >= i) & (p * v >= i)
-        return base & (_valuations(diff, n) >= i + j)
+        diff = T((p + 1) * i) - grid.theta_p * th
+        return (p * j >= i) & (p * v >= i) & (diff.val >= i + j)
     raise ValueError(f"no vectorized predicate for family {family!r}")
 
 

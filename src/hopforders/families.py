@@ -23,9 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-import numpy as np
-
-from . import _batch
 from .fields import FieldSpec, FqElem
 from .matrix import Mat, Witness
 from .orders import NotIntegralError, _term, order_from_theta
@@ -248,38 +245,29 @@ def _values(rng_desc: str, values: Iterable[int]) -> tuple[int, ...]:
     return vals
 
 
-def _theta_from_coeffs(spec: FieldSpec, coeffs: list[FqElem], j: int, depth: int) -> RatFunc | None:
-    """Canonical Laurent theta from sweep digits at exponents [j-depth, j)."""
+def _record_from_row(family: Family, spec: FieldSpec, fq: list[FqElem],
+                     row: int, i: int, j: int, depth: int) -> OrderRecord | None:
+    """The record of a sweep row: its base-q digits are the coefficients of
+    theta at exponents [j-depth, j), as in _batch.CellGrid; None at row 0."""
+    q = spec.q
+    coeffs = [fq[row // q ** d % q] for d in range(depth)]
     lo = next((d for d, c in enumerate(coeffs) if c), None)
     if lo is None:
         return None
-    hi = max(d for d, c in enumerate(coeffs) if c)
-    poly = Poly(spec, coeffs[lo:hi + 1])
-    e_lo = j - depth + lo
-    if e_lo >= 0:
-        return RatFunc(poly.shift(e_lo), Poly.one(spec))
-    return RatFunc(poly, Poly.monomial(spec, -e_lo))
-
-
-def _record_from_row(family: Family, spec: FieldSpec, fq: list[FqElem],
-                     row: int, i: int, j: int, depth: int) -> OrderRecord | None:
-    q = spec.q
-    coeffs = []
-    r = row
-    for _ in range(depth):
-        coeffs.append(fq[r % q])
-        r //= q
-    theta = _theta_from_coeffs(spec, coeffs, j, depth)
-    if theta is None:
-        return None
+    poly, e_lo = Poly(spec, coeffs[lo:]), j - depth + lo
+    theta = (RatFunc(poly.shift(e_lo), Poly.one(spec)) if e_lo >= 0
+             else RatFunc(poly, Poly.monomial(spec, -e_lo)))
     return OrderRecord(family, spec.p, i, j, theta)
 
 
 # The most theta rows one (i, j) cell of a sweep may cover: q^depth.  The
 # kernel holds a whole cell in memory at once.
 MAX_CELL_POINTS = 2 ** 20
+# The most points a whole sweep may cover: len(i) * len(j) * q^depth, which
+# bounds its time.
+MAX_SWEEP_POINTS = 2 ** 24
 
-# The cross-check policy of the kernel's verdicts on prime fields: every row
+# The cross-check policy of the kernel's verdicts, on every field: every row
 # of a cell of at most EXHAUSTIVE_LIMIT rows is re-decided by the object
 # oracle, else SPOT_CHECKS seeded rows (ENUM_SPOT_CHECKS in enumerate_orders).
 EXHAUSTIVE_LIMIT = 4096
@@ -371,28 +359,30 @@ def _decide(rec: OrderRecord, pred_fn) -> tuple[OrderRecord, bool, bool | None]:
     return rec, oracle_is_order(rec), None if pred_fn is None else pred_fn(rec)
 
 
-def _predicate_column(grid, family: Family, pred_fn, record) -> np.ndarray:
+def _predicate_column(grid, family: Family, pred_fn, record):
+    from . import _batch
     if pred_fn is predicate:
         return _batch.predicate_verdicts(grid, family.value)
     if pred_fn is alpha_p2_loose_predicate:
         return _batch.loose_alpha_p2_verdicts(grid)
-    return np.array([False] + [pred_fn(record(row)) for row in range(1, grid.n)], dtype=bool)
+    return [False] + [pred_fn(record(row)) for row in range(1, grid.n)]
 
 
 def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
     """The one pass over the (i, j, theta) grid behind both public sweeps.
 
-    Validates the grid, each cell at most MAX_CELL_POINTS points, and returns
-    (family, depth, i_values, j_values, cells);
+    Validates the grid, each cell at most MAX_CELL_POINTS points and the
+    whole at most MAX_SWEEP_POINTS, and returns (family, depth, i_values,
+    j_values, cells);
     `cells` yields, per (i, j) cell, the number of points covered (theta rows
     plus T^j) and (record, oracle, predicate) for each point `_disputed`
     selects, in row order with T^j last.
 
-    Prime fields run the numpy kernel, and with checks = (limit, spot, tag)
+    Every field runs the numpy kernel, and with checks = (limit, spot, tag)
     the object path re-decides every row of a cell with at most `limit` rows,
     else `spot` rows seeded by (family, p, i, j, depth, tag), plus every
     disagreement when a predicate is checked; any difference raises
-    BatchMismatchError.  Extension fields run the object path at every point.
+    BatchMismatchError.
     """
     family = Family(family)
     if family not in RANK_P2_FAMILIES:
@@ -401,11 +391,20 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
         depth = default_depth(spec.p)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    i_values = _values("i", i_range)
-    j_values = _values("j", j_range)
     if depth > MAX_CELL_POINTS.bit_length() or spec.q ** depth > MAX_CELL_POINTS:
         raise ValueError(f"a cell of q^depth = {spec.q}^{depth} points exceeds the limit "
                          f"MAX_CELL_POINTS = {MAX_CELL_POINTS}; pass a smaller depth (--depth)")
+    i_range, j_range = (r if hasattr(r, "__len__") else tuple(r) for r in (i_range, j_range))
+    try:
+        points = len(i_range) * len(j_range) * spec.q ** depth
+    except OverflowError:           # a range of more than sys.maxsize values
+        points = MAX_SWEEP_POINTS + 1
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"a sweep of len(i) * len(j) * q^depth points exceeds the limit "
+                         f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}; pass smaller ranges (--i, --j)")
+    i_values = _values("i", i_range)
+    j_values = _values("j", j_range)
+    from . import _batch            # numpy loads with the first sweep
     fq = list(spec.elements())
     bint = [[0, 0], [0, 0]] if family is Family.ALPHA_P_N else _FAMILY_B[family]
     limit, spot, tag = checks
@@ -414,13 +413,10 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
         def record(row):
             return _record_from_row(family, spec, fq, int(row), i, j, depth)
 
-        if spec.k > 1:
-            decided = (_decide(record(row), pred_fn) for row in range(1, spec.q ** depth))
-            return [d for d in decided if _disputed(d[1], d[2])]
-        grid = _batch.CellGrid(spec.p, i, j, depth)
+        grid = _batch.CellGrid(spec, i, j, depth)
         orc = _batch.oracle_verdicts(grid, bint)
         prd = None if pred_fn is None else _predicate_column(grid, family, pred_fn, record)
-        disputed = np.nonzero(_disputed(orc, prd)[1:])[0] + 1
+        disputed = _disputed(orc, prd)[1:].nonzero()[0] + 1
         if grid.n - 1 <= limit:
             rows = range(1, grid.n)
         else:
@@ -466,12 +462,11 @@ def oracle_check_family(family: Family, spec: FieldSpec,
                         ) -> AgreementReport:
     """Compare predicate vs oracle at every grid point; report disagreements.
 
-    The field decides the path.  Prime fields run the vectorized kernels,
-    cross-checked against the object-level oracle/predicate exhaustively when
-    a cell has at most EXHAUSTIVE_LIMIT points and on SPOT_CHECKS seeded
-    samples otherwise; every disagreement is confirmed on the object path and
-    a mismatch raises BatchMismatchError.  Extension fields run the object
-    path at every point.  A custom predicate_fn is evaluated per point (meant
+    Every field runs the vectorized kernels, cross-checked against the
+    object-level oracle/predicate exhaustively when a cell has at most
+    EXHAUSTIVE_LIMIT points and on SPOT_CHECKS seeded samples otherwise;
+    every disagreement is confirmed on the object path and a mismatch raises
+    BatchMismatchError.  A custom predicate_fn is evaluated per point (meant
     for small grids).
     """
     family, depth, i_values, j_values, cells = _sweep(
@@ -495,8 +490,8 @@ def enumerate_orders(family: Family, spec: FieldSpec,
 
     The sweep covers theta = T^j plus every nonzero Laurent polynomial
     supported on [j - depth, j); distinct canonical records are distinct
-    orders, so no further dedupe is needed.  On prime fields the kernel's
-    verdicts are spot-checked on ENUM_SPOT_CHECKS seeded rows per cell.
+    orders, so no further dedupe is needed.  The kernel's verdicts are
+    spot-checked on ENUM_SPOT_CHECKS seeded rows per cell.
     Deterministic order: (i, j, canonical theta).
     """
     *_, cells = _sweep(family, spec, i_range, j_range, depth, None,

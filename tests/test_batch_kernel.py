@@ -15,7 +15,7 @@ from hopforders.families import (Family, OrderRecord, _record_from_row,
                                  oracle_is_order, predicate)
 from hopforders.fields import FieldSpec
 
-from helpers import F2, F3, F4, F5, brute_force_points
+from helpers import F2, F3, F4, F5, F8, F9, F25, brute_force_points
 
 F7 = FieldSpec(7)
 
@@ -31,35 +31,34 @@ B_INTS = {
 }
 
 
-@pytest.mark.parametrize("spec", [F2, F3, F5, F7])
+@pytest.mark.parametrize("spec", [F2, F3, F5, F7, F4, F8, F9, F25])
 @pytest.mark.parametrize("family", MATRIX_FAMILIES)
 def test_full_grid_oracle_equivalence(spec, family):
     p = spec.p
-    cases = [(3 if p == 2 else 2, (-1, 0, 2, 5))]
-    if p == 3:
+    cases = [(1 if spec is F25 else 3 if spec.q in (2, 4) else 2, (-1, 0, 2, 5))]
+    if spec is F3:
         cases.append((3, (-3, -1)))     # negative i at depth 3
     fq = list(spec.elements())
     for depth, i_values in cases:
         for i in i_values:
             for j in (-2, 0, 1, 3):
-                grid = _batch.CellGrid(p, i, j, depth)
+                grid = _batch.CellGrid(spec, i, j, depth)
                 fast = _batch.oracle_verdicts(grid, B_INTS[family])
                 for row in range(1, grid.n):
                     rec = _record_from_row(family, spec, fq, row, i, j, depth)
                     assert oracle_is_order(rec) == bool(fast[row]), rec.to_json()
 
 
-@pytest.mark.parametrize("spec", [F2, F3])
+@pytest.mark.parametrize("spec", [F2, F3, F4, F8, F9, F25])
 @pytest.mark.parametrize("family", MATRIX_FAMILIES)
 def test_full_grid_predicate_twin_equivalence(spec, family):
-    p = spec.p
-    depth = 3 if p == 2 else 2
+    depth = 1 if spec is F25 else 3 if spec.q in (2, 4) else 2
     fq = list(spec.elements())
     for i in (-1, 0, 1, 4):
         for j in (-2, 0, 2):
             if family is Family.ZP_SQUARED and (i < 0 or j < 0):
                 continue
-            grid = _batch.CellGrid(p, i, j, depth)
+            grid = _batch.CellGrid(spec, i, j, depth)
             twin = _batch.predicate_verdicts(grid, family.value)
             for row in range(1, grid.n):
                 rec = _record_from_row(family, spec, fq, row, i, j, depth)
@@ -68,7 +67,7 @@ def test_full_grid_predicate_twin_equivalence(spec, family):
 
 def test_grid_valuations_match_records():
     fq = list(F3.elements())
-    grid = _batch.CellGrid(3, 0, 1, 3)
+    grid = _batch.CellGrid(F3, 0, 1, 3)
     for row in range(1, grid.n):
         rec = _record_from_row(Family.ALPHA_P_N, F3, fq, row, 0, 1, 3)
         assert rec.theta.val == int(grid.v_theta[row])
@@ -106,7 +105,7 @@ def test_extension_fields_use_generic_path():
 
 
 def test_batch_rejects_unknown_family():
-    grid = _batch.CellGrid(2, 0, 0, 2)
+    grid = _batch.CellGrid(F2, 0, 0, 2)
     with pytest.raises(ValueError):
         _batch.predicate_verdicts(grid, "rank1_local")
 
@@ -135,11 +134,19 @@ def test_cross_check_policy_call_counts(monkeypatch):
     calls.clear()
     records = enumerate_orders(Family.ALPHA_P2, F2, [3], [2], depth=13)
     assert records and len(calls) == 16 + 1
+    for depth, expected in ((6, 4095), (8, 64)):       # 4^6 - 1 <= 4096 < 4^8 - 1
+        calls.clear()
+        report = oracle_check_family(Family.ALPHA_P2, F4, [3], [2], depth=depth)
+        assert report.all_agree and report.total == 4 ** depth
+        assert len(calls) == expected + 1
+    calls.clear()
+    records = enumerate_orders(Family.ALPHA_P2, F4, [3], [2], depth=8)
+    assert records and len(calls) == 16 + 1
 
 
-@pytest.mark.parametrize("spec", [F2, F3, F4])
-def test_kernel_runs_exactly_on_prime_fields(monkeypatch, spec):
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9])
+def test_kernel_runs_on_every_field(monkeypatch, spec):
     grids = _count_calls(monkeypatch, _batch, "CellGrid")
     oracle_check_family(Family.MONO_P2, spec, [0, 1], [0], depth=2)
     enumerate_orders(Family.MONO_P2, spec, [0, 1], [0], depth=2)
-    assert len(grids) == (4 if spec.k == 1 else 0)
+    assert len(grids) == 4

@@ -320,6 +320,33 @@ def test_module_entry_point_is_quiet():
     assert "integral: yes" in proc.stdout
 
 
+def test_non_sweep_commands_never_load_numpy():
+    """Only the sweeps use numpy: the README examples of every other command
+    run in a fresh interpreter without importing it."""
+    import hopforders
+    script = (
+        "import sys\n"
+        "from hopforders.cli import main\n"
+        "for argv in ARGVS:\n"
+        "    main(argv)\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    ).replace("ARGVS", repr([
+        ["check", "--field", "p=2", "--B", WORKED_B, "--theta", WORKED_THETA],
+        ["verify", "--field", "p=2", "--theta", "[T,0;1,T]", "--A", "[0,0;0,0]",
+         "--B", "[0,0;0,0]"],
+        ["normalize", "--field", "p=3", "--theta", "[0,T;1,0]"],
+        ["same-order", "--field", "p=2", "--theta", "[T,0;T^2,T^2]",
+         "--theta2", "[T,0;0,T^2]"],
+        ["fibre", "--field", "p=2", "--A", "[1,0;0,0]"],
+        ["present", "--field", "p=3", "--A", "[1,0;0,1]"],
+        ["rank1", "--field", "p=3", "--b", "T", "--i", "0"],
+    ]))
+    env = {"PYTHONPATH": str(Path(hopforders.__file__).parents[1]), "PATH": ""}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_resource_limits_exit_2(capsys):
     for argv, limit in (
         (["check", "--field", "p=1000000000000000003", "--B", "[0]", "--theta", "[1]"], "MAX_Q"),
@@ -328,6 +355,8 @@ def test_resource_limits_exit_2(capsys):
          "MAX_CELL_POINTS"),
         (["oracle-check", "--family", "mono_p2", "--field", "p=2", "--i", "0", "--j", "0",
           "--depth", "21"], "MAX_CELL_POINTS"),
+        (["enumerate", "--family", "alpha_p2", "--field", "p=2", "--i", "0..1000000000",
+          "--j", "0..0", "--depth", "1"], "MAX_SWEEP_POINTS"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

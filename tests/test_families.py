@@ -1,7 +1,7 @@
 import pytest
 
-from hopforders.families import (MAX_CELL_POINTS, Family, OrderRecord,
-                                 alpha_p2_loose_predicate, canonical_theta,
+from hopforders.families import (MAX_CELL_POINTS, MAX_SWEEP_POINTS, Family,
+                                 OrderRecord, alpha_p2_loose_predicate, canonical_theta,
                                  default_depth, enumerate_orders, family_matrix,
                                  oracle_check_family, oracle_is_order,
                                  predicate, rank1_orders, theta_for_record)
@@ -322,3 +322,26 @@ def test_sweep_cell_limit_refuses_before_any_work(monkeypatch):
         for sweep in (enumerate_orders, oracle_check_family):
             with pytest.raises(ValueError, match="MAX_CELL_POINTS.*depth"):
                 sweep(Family.ALPHA_P2, spec, [0], [0], depth=depth)
+
+
+def test_sweep_size_limit_refuses_before_any_work(monkeypatch):
+    """A sweep of more than MAX_SWEEP_POINTS points in all is refused up
+    front, from the ranges' lengths: no grid, no record and no value set is
+    built, so a range of 10^9 values or more than sys.maxsize values costs
+    nothing."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work was done past the limit")
+
+    monkeypatch.setattr("hopforders._batch.CellGrid", forbidden)
+    monkeypatch.setattr("hopforders.families._record_from_row", forbidden)
+    monkeypatch.setattr("hopforders.families._values", forbidden)
+    assert 2 ** 24 == MAX_SWEEP_POINTS
+    for spec, i_range, j_range, depth in (
+            (F2, range(10 ** 7), [0], 1),                # 2 * 10^7 points
+            (F2, range(10 ** 9 + 1), [0], 1),
+            (F3, range(2 ** 70), range(2 ** 70), 1),
+            (F2, range(2 ** 4 + 1), [0], 20),            # 17 cells of 2^20 points
+            (F4, range(16), range(17), 8)):
+        for sweep in (enumerate_orders, oracle_check_family):
+            with pytest.raises(ValueError, match="MAX_SWEEP_POINTS"):
+                sweep(Family.ALPHA_P2, spec, i_range, j_range, depth=depth)
