@@ -266,6 +266,8 @@ MAX_CELL_POINTS = 2 ** 20
 # The most points a whole sweep may cover: len(i) * len(j) * q^depth, which
 # bounds its time.
 MAX_SWEEP_POINTS = 2 ** 24
+# The most records a whole sweep may return, checked before a cell builds any.
+MAX_RECORDS = 2 ** 16
 
 # The cross-check policy of the kernel's verdicts, on every field: every row
 # of a cell of at most EXHAUSTIVE_LIMIT rows is re-decided by the object
@@ -373,7 +375,8 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
 
     Validates the grid, each cell at most MAX_CELL_POINTS points and the
     whole at most MAX_SWEEP_POINTS, and returns (family, depth, i_values,
-    j_values, cells);
+    j_values, cells); `cells` raises ValueError before the cell whose
+    records would take the sweep past MAX_RECORDS builds any of them;
     `cells` yields, per (i, j) cell, the number of points covered (theta rows
     plus T^j) and (record, oracle, predicate) for each point `_disputed`
     selects, in row order with T^j last.
@@ -408,6 +411,15 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
     fq = list(spec.elements())
     bint = [[0, 0], [0, 0]] if family is Family.ALPHA_P_N else _FAMILY_B[family]
     limit, spot, tag = checks
+    selected = 0
+
+    def select(rows):
+        nonlocal selected
+        selected += len(rows)
+        if selected > MAX_RECORDS:
+            raise ValueError(f"the records of a sweep exceed the limit MAX_RECORDS = "
+                             f"{MAX_RECORDS}; pass a smaller depth or ranges (--depth, --i, --j)")
+        return rows
 
     def theta_rows(i, j):
         def record(row):
@@ -416,7 +428,7 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
         grid = _batch.CellGrid(spec, i, j, depth)
         orc = _batch.oracle_verdicts(grid, bint)
         prd = None if pred_fn is None else _predicate_column(grid, family, pred_fn, record)
-        disputed = _disputed(orc, prd)[1:].nonzero()[0] + 1
+        disputed = select(_disputed(orc, prd)[1:].nonzero()[0] + 1)
         if grid.n - 1 <= limit:
             rows = range(1, grid.n)
         else:
@@ -441,7 +453,7 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
             disputed = theta_rows(i, j)
             rec_pj = _decide(OrderRecord(family, spec.p, i, j, RatFunc.pi_power(spec, j)), pred_fn)
             if _disputed(rec_pj[1], rec_pj[2]):
-                disputed.append(rec_pj)
+                disputed += select([rec_pj])
             yield spec.q ** depth, disputed
 
     return family, depth, i_values, j_values, cells()

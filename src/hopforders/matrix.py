@@ -51,8 +51,8 @@ def _bareiss(work: list[list], div) -> tuple[int, object, int]:
     becomes (pivot * r - r[col] * pivot row) / previous pivot, and that
     division is exact: each entry is then a minor of the input (Sylvester's
     identity).  Row operations touch only the columns right of the pivot, as
-    the reduced columns are never read again.  Eliminating [M | I] for a
-    nonsingular M leaves s * det M as the last pivot and s * adj M in the
+    the reduced columns are never read again.  Eliminating [M | Y] for a
+    nonsingular M leaves s * det M as the last pivot and s * adj M * Y in the
     right block, s = (-1)^swaps.  Returns the rank, the last pivot (None at
     rank 0) and the number of row swaps.
     """
@@ -83,13 +83,12 @@ def _bareiss(work: list[list], div) -> tuple[int, object, int]:
     return rank, prev, swaps
 
 
-def _adjugate(M: list[list[Poly]]) -> tuple[list[list[Poly]], Poly]:
-    """(s * adj M, s * det M) for a square matrix M over F_q[T], s = +-1, by
-    elimination of [M | I]; SingularMatrixError when det M = 0."""
+def _solve(M: list[list[Poly]], Y: Sequence[Sequence[Poly]]) -> tuple[list[list[Poly]], Poly]:
+    """(s * adj M * Y, s * det M) for a square M over F_q[T] and a Y with as
+    many rows, s = +-1, by one elimination of [M | Y]; SingularMatrixError
+    when det M = 0."""
     n = len(M)
-    spec = M[0][0].spec
-    one, zero = Poly.one(spec), Poly.zero(spec)
-    work = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(M)]
+    work = [list(m) + list(y) for m, y in zip(M, Y)]
     rank, det, _ = _bareiss(work, operator.floordiv)
     if rank < n:
         raise SingularMatrixError("matrix is singular over K")
@@ -216,7 +215,8 @@ class Mat:
         """Exact inverse d * adj M / det M for self = M / d, one canonical
         RatFunc per entry."""
         M, d = self._polynomial_form()
-        adj, det = _adjugate(M)
+        n, one, zero = self.n, Poly.one(self.spec), Poly.zero(self.spec)
+        adj, det = _solve(M, [[one if i == j else zero for j in range(n)] for i in range(n)])
         return Mat([[RatFunc(d * x, det) for x in row] for row in adj])
 
     def twist(self, p: int | None = None) -> "Mat":
@@ -234,8 +234,13 @@ class Mat:
         return IntegralityResult(True, None)
 
     def is_unit(self) -> bool:
-        """Membership in M_n(R)^x: integral with unit determinant."""
-        return bool(self.is_integral()) and self.det().val == 0
+        """Membership in M_n(R)^x: integral with unit determinant, i.e. for
+        self = M / d, M of full rank with ord det M = n * ord d."""
+        if not self.is_integral():
+            return False
+        M, d = self._polynomial_form()
+        rank, det, _ = _bareiss(M, operator.floordiv)
+        return rank == self.n and det.ord == self.n * d.ord
 
     def __eq__(self, other):
         if not isinstance(other, Mat):

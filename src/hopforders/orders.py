@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 
 from .fields import FqElem
-from .matrix import Mat, SingularMatrixError, Witness, _adjugate, _bareiss, _matmul
+from .matrix import Mat, SingularMatrixError, Witness, _bareiss, _matmul, _solve
 from .ratfunc import INF, Poly, RatFunc
 
 
@@ -181,9 +181,8 @@ def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
         raise ValueError("B and Theta must have equal size over one field spec")
     M, d = theta._polynomial_form()
     Bm, b = B._polynomial_form()
-    adj, det = _adjugate(M)
-    zero = Poly.zero(theta.spec)
-    N = _matmul(_matmul(adj, Bm, zero), [[x.pth_power() for x in row] for row in M], zero)
+    twisted = [[x.pth_power() for x in row] for row in M]
+    N, det = _solve(M, _matmul(Bm, twisted, Poly.zero(theta.spec)))
     D = det * b * d ** (theta.spec.p - 1)
     ord_D = D.ord
     for i, row in enumerate(N):
@@ -206,12 +205,23 @@ def verify_twisted_equation(theta: Mat, A: Mat, B: Mat, p: int | None = None) ->
 
 def same_order(theta1: Mat, theta2: Mat) -> bool:
     """Whether two embeddings give the same order: U = Theta^{-1}Theta' in
-    M_n(R)^x, i.e. U integral with det U of valuation zero."""
-    U = theta1.inv() @ theta2
-    d = U.det()
-    if d.is_zero():
+    M_n(R)^x.  With Theta = M1 / d1 and Theta' = M2 / d2 over F_q[T],
+    U = d1 N / (d2 D) for N = adj(M1) M2, D = det M1, and det U =
+    d1^n det M2 / (d2^n D), so both tests compare T-adic orders.  Errors come
+    in the order: singular Theta, size or spec mismatch, singular Theta'."""
+    M1, d1 = theta1._polynomial_form()
+    n = theta1.n
+    if theta2.n != n or theta2.spec != theta1.spec:
+        _solve(M1, [()] * n)    # M1 alone: a singular Theta is reported first
+        theta1._check_compat(theta2)
+    M2, d2 = theta2._polynomial_form()
+    N, D = _solve(M1, M2)
+    rank, det2, _ = _bareiss(M2, operator.floordiv)
+    if rank < n:
         raise SingularMatrixError("matrix is singular over K")
-    return bool(U.is_integral()) and d.val == 0
+    bound = D.ord + d2.ord - d1.ord
+    return (det2.ord + n * d1.ord == D.ord + n * d2.ord
+            and all(x.ord >= bound for row in N for x in row if x))
 
 
 def scale_to_integral(theta: Mat) -> Mat:

@@ -238,3 +238,12 @@ def reference_order(B, theta):
         return A
     w = res.witness
     return (w.row, w.col, w.valuation, str(w.entry))
+
+
+def reference_same_order(theta1, theta2):
+    """Whether U = cofactor_inverse(Theta) * Theta' by RatFunc arithmetic is
+    integral with a Leibniz determinant of valuation zero (Theta, Theta'
+    nonsingular, n >= 2)."""
+    zero = RatFunc.zero(theta1.spec)
+    U = _plain_matmul(cofactor_inverse([list(r) for r in theta1.rows], zero), theta2.rows, zero)
+    return bool(Mat(U).is_integral()) and leibniz_det(U, zero).val == 0

@@ -8,6 +8,7 @@ import pytest
 
 from hopforders.cli import (ParseError, main, parse_element, parse_field_spec,
                             parse_matrix)
+from hopforders.families import MAX_RECORDS
 from hopforders.matrix import Mat
 from hopforders.parse import MAX_DEGREE, MAX_NESTING
 from hopforders.ratfunc import Poly, RatFunc
@@ -362,6 +363,18 @@ def test_resource_limits_exit_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert limit in captured.err
+
+
+def test_record_limit_exits_2(capsys):
+    """Four F_4 cells of 65536 orders each: the sweep stops at the second
+    cell, before the command builds an order or a fibre per record."""
+    assert MAX_RECORDS == 2 ** 16
+    assert main(["enumerate", "--json", "--family", "alpha_p_n",
+                 "--field", "p=2;k=2;mod=a^2+a+1", "--i", "0..1", "--j", "0..1",
+                 "--depth", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_RECORDS = 65536" in captured.err
 
 
 def test_rank1_exponent_limit_exit_2(capsys):

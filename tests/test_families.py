@@ -1,8 +1,8 @@
 import pytest
 
 from hopforders.families import (MAX_CELL_POINTS, MAX_SWEEP_POINTS, Family,
-                                 OrderRecord, alpha_p2_loose_predicate, canonical_theta,
-                                 default_depth, enumerate_orders, family_matrix,
+                                 OrderRecord, _record_from_row, alpha_p2_loose_predicate,
+                                 canonical_theta, default_depth, enumerate_orders, family_matrix,
                                  oracle_check_family, oracle_is_order,
                                  predicate, rank1_orders, theta_for_record)
 from hopforders.matrix import Mat
@@ -345,3 +345,26 @@ def test_sweep_size_limit_refuses_before_any_work(monkeypatch):
         for sweep in (enumerate_orders, oracle_check_family):
             with pytest.raises(ValueError, match="MAX_SWEEP_POINTS"):
                 sweep(Family.ALPHA_P2, spec, i_range, j_range, depth=depth)
+
+
+def test_record_limit_refuses_before_building_the_crossing_cell(monkeypatch):
+    """A sweep returning more than MAX_RECORDS records raises before the cell
+    that crosses the limit builds any record; a sweep at the limit returns."""
+    built = []
+
+    def counted(family, spec, fq, row, i, j, depth):
+        built.append((i, j))
+        return _record_from_row(family, spec, fq, row, i, j, depth)
+
+    monkeypatch.setattr("hopforders.families._record_from_row", counted)
+    # alpha_p_n accepts every point: 15 theta rows plus T^j per depth-4 cell
+    monkeypatch.setattr("hopforders.families.MAX_RECORDS", 16)
+    assert len(enumerate_orders(Family.ALPHA_P_N, F2, [0], [0], depth=4)) == 16
+    one_cell = len(built)
+    built.clear()
+    with pytest.raises(ValueError, match="MAX_RECORDS = 16"):
+        enumerate_orders(Family.ALPHA_P_N, F2, [0], [0, 1], depth=4)
+    assert len(built) == one_cell and set(built) == {(0, 0)}
+    monkeypatch.setattr("hopforders.families.MAX_RECORDS", 15)
+    with pytest.raises(ValueError, match="MAX_RECORDS = 15"):
+        enumerate_orders(Family.ALPHA_P_N, F2, [0], [0], depth=4)

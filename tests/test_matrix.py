@@ -6,7 +6,8 @@ from hopforders.matrix import Mat, SingularMatrixError
 from hopforders.ratfunc import RatFunc
 
 from helpers import (F2, F3, F4, F5, F9, cofactor_inverse, deficient, leibniz_det,
-                     pi, rand_invertible, rand_mat, rand_ratfunc, rand_unit_matrix)
+                     pi, rand_integral_mat, rand_invertible, rand_mat, rand_ratfunc,
+                     rand_unit_matrix)
 
 
 def test_mul_identity_and_zero():
@@ -97,6 +98,26 @@ def test_is_unit():
     zero, one = RatFunc.zero(F3), RatFunc.one(F3)
     assert Mat([[one, zero], [pi(F3, 3), one]]).is_unit()
     assert not Mat([[pi(F3, -1), zero], [zero, pi(F3)]]).is_unit()
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
+def test_is_unit_matches_det_reference(spec):
+    rng = random.Random(f"is-unit-{spec.q}")
+    zero = RatFunc.zero(spec)
+    seen = set()
+    for trial in range(24):
+        n = 2 + trial % 2
+        rows = [list(r) for r in rand_integral_mat(rng, spec, n, 1).rows]
+        if trial % 4 == 0:
+            rows = deficient(rows, zero)
+        elif trial % 4 == 1:
+            rows = [list(r) for r in rand_unit_matrix(rng, spec, n, 1).rows]
+        elif trial % 8 == 2:
+            rows[0][0] = rows[0][0] + pi(spec, -1)
+        expected = bool(Mat(rows).is_integral()) and leibniz_det(rows, zero).val == 0
+        assert Mat(rows).is_unit() == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_inverse_property_random():

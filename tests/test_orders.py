@@ -12,7 +12,7 @@ from hopforders.ratfunc import RatFunc
 
 from helpers import (F2, F3, F4, F5, F9, deficient, minor_rank, pi, rand_fq,
                      rand_integral_mat, rand_invertible, rand_unit_matrix,
-                     reference_order, worked_example)
+                     reference_order, reference_same_order, worked_example)
 
 
 # -- presentations --
@@ -224,6 +224,58 @@ def test_same_order_is_equivalence():
     a = rand_invertible(rng, F3, 2)
     b = a @ Mat.diag([pi(F3), RatFunc.one(F3)])
     assert not same_order(a, b)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
+def test_same_order_matches_ratfunc_reference(spec):
+    # Theta' = Theta * X for four kinds of X, each failing at most one leg of
+    # the decision: integral with unit det (twice), det of valuation 1 only,
+    # U not integral only
+    rng = random.Random(f"same-order-ref-{spec.q}")
+    one = RatFunc.one(spec)
+    unit_scalar = (one + pi(spec)) / (one + pi(spec, 2))
+    for n in (2, 3):
+        for _ in range(4):
+            theta = rand_invertible(rng, spec, n, 1)
+            rest = [one] * (n - 2)
+            cases = [(theta @ rand_unit_matrix(rng, spec, n, 1), True),
+                     (theta @ Mat.diag([pi(spec), one] + rest), False),
+                     (theta @ Mat.diag([pi(spec), pi(spec, -1)] + rest), False),
+                     (theta.scale(unit_scalar), True)]
+            for theta2, expected in cases:
+                assert same_order(theta, theta2) == expected
+                assert reference_same_order(theta, theta2) == expected
+
+
+def test_same_order_error_order():
+    rng = random.Random(19)
+    zero = RatFunc.zero(F3)
+    theta3 = rand_invertible(rng, F3, 3)
+    singular3 = Mat(deficient([list(r) for r in rand_invertible(rng, F3, 3).rows], zero))
+    singular2 = Mat(deficient([list(r) for r in rand_invertible(rng, F3, 2).rows], zero))
+    with pytest.raises(SingularMatrixError, match="singular"):
+        same_order(singular3, rand_invertible(rng, F3, 2))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 3 vs 2$"):
+        same_order(theta3, singular2)
+    with pytest.raises(ValueError, match=r"^matrices over different field specs$"):
+        same_order(theta3, rand_invertible(rng, F5, 3))
+
+
+def test_same_order_builds_no_ratfunc(monkeypatch):
+    rng = random.Random(23)
+    theta, unit = rand_invertible(rng, F3, 3), rand_unit_matrix(rng, F3, 3)
+    pairs = [(theta, theta @ unit),
+             (theta, theta @ Mat.diag([pi(F3), pi(F3, -1), RatFunc.one(F3)]))]
+    non_unit = unit @ Mat.diag([pi(F3), RatFunc.one(F3), RatFunc.one(F3)])
+    assert any(x.den.degree > x.den.ord for row in theta.rows for x in row)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("same_order left F_q[T]")
+
+    for cls, name in ((RatFunc, "__init__"), (RatFunc, "_raw"), (Mat, "inv"), (Mat, "det")):
+        monkeypatch.setattr(cls, name, refuse)
+    assert [same_order(*pair) for pair in pairs] == [True, False]
+    assert unit.is_unit() and not non_unit.is_unit()
 
 
 def test_twisted_equation_holds_for_every_success():
