@@ -124,8 +124,9 @@ class CellGrid:
         return Laurent(self.ar, self.n, {e: 1})
 
 
-def oracle_verdicts(grid: CellGrid, b01: list[list[int]]) -> np.ndarray:
-    """Integrality of Theta^{-1} B Theta^(p) per theta row (row 0 meaningless)."""
+def oracle_verdicts(grid: CellGrid, b01) -> np.ndarray:
+    """Integrality of Theta^{-1} B Theta^(p) per theta row (row 0 meaningless),
+    for B given by the rows `b01` of a 0/1 matrix (ints or RatFuncs)."""
     p, i, j = grid.p, grid.i, grid.j
     T, zero = grid.pi_power, Laurent(grid.ar, grid.n, {})
     adj = [[T(j), zero], [-grid.theta, T(i)]]
@@ -139,30 +140,3 @@ def oracle_verdicts(grid: CellGrid, b01: list[list[int]]) -> np.ndarray:
             if e < cut:
                 ok &= c == 0
     return ok
-
-
-def predicate_verdicts(grid: CellGrid, family: str) -> np.ndarray:
-    """Vectorized twins of the closed-form membership predicates."""
-    p, i, j, n = grid.p, grid.i, grid.j, grid.n
-    v, th, T = grid.v_theta, grid.theta, grid.pi_power
-    if family == "alpha_p_n":
-        return np.ones(n, dtype=bool)
-    if family == "alpha_p2":
-        return (p * j >= i) & (p * v >= i) & ((p + 1) * v >= i + j)
-    if family == "zp_x_ap":
-        return (i >= 0) & (v >= j - (p - 1) * i)
-    if family == "zp_squared":
-        if i < 0 or j < 0:
-            return np.zeros(n, dtype=bool)
-        diff = grid.theta_p - T((p - 1) * i) * th
-        return diff.val >= j
-    if family == "mono_p2":
-        diff = T((p + 1) * i) - grid.theta_p * th
-        return (p * j >= i) & (p * v >= i) & (diff.val >= i + j)
-    raise ValueError(f"no vectorized predicate for family {family!r}")
-
-
-def loose_alpha_p2_verdicts(grid: CellGrid) -> np.ndarray:
-    """The single-lower-bound variant kept for agreement-report regressions."""
-    p, i, j = grid.p, grid.i, grid.j
-    return (p * j >= i) & (grid.v_theta >= i - (p - 1) * j)

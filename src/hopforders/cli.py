@@ -58,16 +58,14 @@ def _cmd_check(args) -> int:
     try:
         result = order_from_theta(B, theta)
     except NotIntegralError as exc:
-        w = exc.witness
         if args.json:
             print(json.dumps({
                 "field": spec.spec_text(),
                 "integral": False,
-                "witness": {"row": w.row, "col": w.col,
-                            "valuation": w.valuation, "entry": str(w.entry)},
+                "witness": exc.witness.to_json(),
             }))
         else:
-            print(f"not integral: {w}")
+            print(f"not integral: {exc.witness}")
         return 1
     fibre = special_fibre(result.A)
     if args.json:

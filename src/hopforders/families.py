@@ -3,8 +3,9 @@
 Each matrix family fixes the ambient algebra's matrix B; a rank-p^2 order
 inside it is identified by a canonical record (i, j, theta) standing for the
 DDL embedding Theta = [[T^i, 0], [theta, T^j]].  Ground truth for membership
-is always the matrix oracle (order_from_theta); the closed-form predicates
-are fast integer/valuation conditions that must agree with the oracle
+is always the matrix oracle (the integrality test of order_from_theta); the
+closed-form predicates are fast integer/valuation conditions, each written
+once for a record and a sweep grid, that must agree with the oracle
 everywhere, and `oracle_check_family` machine-checks that agreement over a
 finite grid.
 
@@ -25,7 +26,7 @@ from typing import Callable, Iterable
 
 from .fields import FieldSpec, FqElem
 from .matrix import Mat, Witness
-from .orders import NotIntegralError, _term, order_from_theta
+from .orders import _term, _twisted_quotient
 from .parse import MAX_DEGREE
 from .ratfunc import INF, Poly, RatFunc
 
@@ -177,15 +178,48 @@ def theta_for_record(record: OrderRecord) -> Mat:
                 [record.theta, RatFunc.pi_power(spec, record.j)]])
 
 
+def _witness(rec: OrderRecord) -> Witness | None:
+    """The first non-integral entry of the record's A, None if A is integral."""
+    B = family_matrix(rec.family, rec.theta.spec, 2)
+    return _twisted_quotient(B, theta_for_record(rec))[2]
+
+
 def oracle_is_order(record: OrderRecord) -> bool:
-    """Ground truth: delegate to the matrix pipeline and test integrality."""
-    spec = record.theta.spec
-    B = family_matrix(record.family, spec, 2)
-    try:
-        order_from_theta(B, theta_for_record(record))
+    """Ground truth: the integrality test of the matrix pipeline."""
+    return _witness(record) is None
+
+
+def _closed_form(family, p, i, j, v, theta, twist, T):
+    """The closed form of `family`, with v = v(theta), twist() = theta^(p) and
+    T(e) = T^e.  Conditions combine with `&`, so the same text runs on a record
+    (int v, RatFunc theta) and on a sweep grid (array v, Laurent theta)."""
+    if family is Family.ALPHA_P_N:
         return True
-    except NotIntegralError:
-        return False
+    if family is Family.ALPHA_P2:
+        return (p * j >= i) & (p * v >= i) & ((p + 1) * v >= i + j)
+    if family is Family.ZP_X_AP:
+        return (i >= 0) & (v >= j - (p - 1) * i)
+    # below, a record whose bounds fail skips the valuation: its T-power may be long
+    if family is Family.ZP_SQUARED:
+        bounds = (i >= 0) & (j >= 0)
+        return bounds is not False and bounds & ((twist() - T((p - 1) * i) * theta).val >= j)
+    if family is Family.MONO_P2:
+        bounds = (p * j >= i) & (p * v >= i)
+        return bounds is not False and bounds & ((T((p + 1) * i) - twist() * theta).val >= i + j)
+    raise ValueError(f"no rank-p^2 predicate for family {family}")
+
+
+def _loose_closed_form(family, p, i, j, v, theta, twist, T):
+    """The loose alpha_p2 bound, called like _closed_form."""
+    if family is not Family.ALPHA_P2:
+        raise ValueError("loose bound applies to the alpha_p2 family only")
+    return (p * j >= i) & (v >= i - (p - 1) * j)
+
+
+def _at_record(form, record: OrderRecord) -> bool:
+    th = record.theta
+    return form(record.family, record.p, record.i, record.j, int(th.val), th,
+                th.pth_power, functools.partial(RatFunc.pi_power, th.spec))
 
 
 def predicate(record: OrderRecord) -> bool:
@@ -200,27 +234,7 @@ def predicate(record: OrderRecord) -> bool:
     Rational bounds are cleared to integer form; the remaining conditions are
     per-entry valuation facts about A = Theta^{-1} B Theta^(p).
     """
-    f, p, i, j = record.family, record.p, record.i, record.j
-    th = record.theta
-    spec = th.spec
-    v = int(th.val)
-    if f is Family.ALPHA_P_N:
-        return True
-    if f is Family.ALPHA_P2:
-        return p * j >= i and p * v >= i and (p + 1) * v >= i + j
-    if f is Family.ZP_X_AP:
-        return i >= 0 and v >= j - (p - 1) * i
-    if f is Family.ZP_SQUARED:
-        if i < 0 or j < 0:
-            return False
-        diff = th.pth_power() - RatFunc.pi_power(spec, (p - 1) * i) * th
-        return diff.val >= j
-    if f is Family.MONO_P2:
-        if not (p * j >= i and p * v >= i):
-            return False
-        diff = RatFunc.pi_power(spec, (p + 1) * i) - th.pth_power() * th
-        return diff.val >= i + j
-    raise ValueError(f"no rank-p^2 predicate for family {f}")
+    return _at_record(_closed_form, record)
 
 
 def alpha_p2_loose_predicate(record: OrderRecord) -> bool:
@@ -230,10 +244,7 @@ def alpha_p2_loose_predicate(record: OrderRecord) -> bool:
     v(theta)=0 satisfies it yet fails integrality); it is kept so the
     agreement harness can demonstrate that it disagrees with the oracle.
     """
-    if record.family is not Family.ALPHA_P2:
-        raise ValueError("loose bound applies to the alpha_p2 family only")
-    p, i, j = record.p, record.i, record.j
-    return p * j >= i and int(record.theta.val) >= i - (p - 1) * j
+    return _at_record(_loose_closed_form, record)
 
 
 # -- grid sweeps --
@@ -266,6 +277,10 @@ MAX_CELL_POINTS = 2 ** 20
 # The most points a whole sweep may cover: len(i) * len(j) * q^depth, which
 # bounds its time.
 MAX_SWEEP_POINTS = 2 ** 24
+# The most (i, j) cells a whole sweep may cover: len(i) * len(j), as each cell
+# costs a kernel pass whatever its size.  MAX_DEGREE bounds (p+1) * max(|i|, |j|),
+# the degree of the T-powers a cell builds.
+MAX_SWEEP_CELLS = 2 ** 14
 # The most records a whole sweep may return, checked before a cell builds any.
 MAX_RECORDS = 2 ** 16
 
@@ -294,12 +309,7 @@ class Disagreement:
         out = self.record.to_json()
         out["predicate"] = self.predicate_verdict
         out["oracle"] = self.oracle_verdict
-        out["witness"] = None if self.witness is None else {
-            "row": self.witness.row,
-            "col": self.witness.col,
-            "valuation": self.witness.valuation,
-            "entry": str(self.witness.entry),
-        }
+        out["witness"] = None if self.witness is None else self.witness.to_json()
         return out
 
 
@@ -362,19 +372,22 @@ def _decide(rec: OrderRecord, pred_fn) -> tuple[OrderRecord, bool, bool | None]:
 
 
 def _predicate_column(grid, family: Family, pred_fn, record):
-    from . import _batch
-    if pred_fn is predicate:
-        return _batch.predicate_verdicts(grid, family.value)
-    if pred_fn is alpha_p2_loose_predicate:
-        return _batch.loose_alpha_p2_verdicts(grid)
-    return [False] + [pred_fn(record(row)) for row in range(1, grid.n)]
+    """The predicate's verdict on every row of the grid (row 0 meaningless):
+    the shared closed form on the whole grid, a custom one row by row."""
+    form = {predicate: _closed_form, alpha_p2_loose_predicate: _loose_closed_form}.get(pred_fn)
+    if form is None:
+        return [False] + [pred_fn(record(row)) for row in range(1, grid.n)]
+    import numpy as np
+    return np.broadcast_to(form(family, grid.p, grid.i, grid.j, grid.v_theta, grid.theta,
+                                lambda: grid.theta_p, grid.pi_power), grid.n)
 
 
 def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
     """The one pass over the (i, j, theta) grid behind both public sweeps.
 
-    Validates the grid, each cell at most MAX_CELL_POINTS points and the
-    whole at most MAX_SWEEP_POINTS, and returns (family, depth, i_values,
+    Validates the grid, each cell at most MAX_CELL_POINTS points, the whole
+    at most MAX_SWEEP_POINTS points and MAX_SWEEP_CELLS cells, and
+    (p+1) * max(|i|, |j|) at most MAX_DEGREE, and returns (family, depth, i_values,
     j_values, cells); `cells` raises ValueError before the cell whose
     records would take the sweep past MAX_RECORDS builds any of them;
     `cells` yields, per (i, j) cell, the number of points covered (theta rows
@@ -407,9 +420,17 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
                          f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}; pass smaller ranges (--i, --j)")
     i_values = _values("i", i_range)
     j_values = _values("j", j_range)
+    if len(i_range) * len(j_range) > MAX_SWEEP_CELLS:
+        raise ValueError(f"a sweep of len(i) * len(j) cells exceeds the limit "
+                         f"MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}; pass smaller ranges (--i, --j)")
+    ends = (i_values[0], i_values[-1], j_values[0], j_values[-1])
+    degree = (spec.p + 1) * max(map(abs, ends))
+    if degree > MAX_DEGREE:
+        raise ValueError(f"(p+1) * max(|i|, |j|) = {degree} exceeds the limit "
+                         f"MAX_DEGREE = {MAX_DEGREE}; pass smaller exponents (--i, --j)")
     from . import _batch            # numpy loads with the first sweep
     fq = list(spec.elements())
-    bint = [[0, 0], [0, 0]] if family is Family.ALPHA_P_N else _FAMILY_B[family]
+    B = family_matrix(family, spec, 2).rows
     limit, spot, tag = checks
     selected = 0
 
@@ -426,7 +447,7 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
             return _record_from_row(family, spec, fq, int(row), i, j, depth)
 
         grid = _batch.CellGrid(spec, i, j, depth)
-        orc = _batch.oracle_verdicts(grid, bint)
+        orc = _batch.oracle_verdicts(grid, B)
         prd = None if pred_fn is None else _predicate_column(grid, family, pred_fn, record)
         disputed = select(_disputed(orc, prd)[1:].nonzero()[0] + 1)
         if grid.n - 1 <= limit:
@@ -457,14 +478,6 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
             yield spec.q ** depth, disputed
 
     return family, depth, i_values, j_values, cells()
-
-
-def _witness(rec: OrderRecord) -> Witness | None:
-    try:
-        order_from_theta(family_matrix(rec.family, rec.theta.spec, 2), theta_for_record(rec))
-    except NotIntegralError as exc:
-        return exc.witness
-    return None
 
 
 def oracle_check_family(family: Family, spec: FieldSpec,

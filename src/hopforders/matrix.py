@@ -31,6 +31,10 @@ class Witness:
     def __str__(self):
         return f"entry ({self.row},{self.col}) has valuation {self.valuation:g}: {self.entry}"
 
+    def to_json(self) -> dict:
+        return {"row": self.row, "col": self.col, "valuation": self.valuation,
+                "entry": str(self.entry)}
+
 
 @dataclass(frozen=True)
 class IntegralityResult:

@@ -162,18 +162,12 @@ def presentation_from_matrix(A: Mat, gens: tuple[str, ...] | None = None) -> Pre
     return Presentation(A, tuple(gens))
 
 
-def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
-    """Construct the order determined by Theta inside the algebra with matrix B.
-
-    Computes A = Theta^{-1} B Theta^(p).  Succeeds iff A is integral; raises
-    NotIntegralError carrying the first offending entry otherwise, and
-    SingularMatrixError for non-invertible Theta.
-
-    With Theta = M / d and B = B' / b over F_q[T], A = N / D for
-    N = adj(M) B' M^(p) and D = det M * b * d^(p-1), so A is integral iff
-    every nonzero N_ij has ord(N_ij) >= ord(D); no division in K happens
-    before the verdict.
-    """
+def _twisted_quotient(B: Mat, theta: Mat) -> tuple[list[list[Poly]], Poly, Witness | None]:
+    """The integrality test behind order_from_theta and the family oracle:
+    (N, D, witness), A = Theta^{-1} B Theta^(p) = N / D, the witness the first
+    entry of A in row-major order with ord(N_ij) < ord(D), None if A is
+    integral.  With Theta = M / d and B = B' / b over F_q[T], N = adj(M) B' M^(p)
+    and D = det M * b * d^(p-1); no division in K happens before the verdict."""
     res = B.is_integral()
     if not res:
         raise ValueError(f"B must be integral: {res.witness}")
@@ -189,7 +183,20 @@ def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
         for j, x in enumerate(row):
             if x and x.ord < ord_D:
                 entry = RatFunc(x, D)
-                raise NotIntegralError(Witness(i + 1, j + 1, entry.val, entry))
+                return N, D, Witness(i + 1, j + 1, entry.val, entry)
+    return N, D, None
+
+
+def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
+    """Construct the order determined by Theta inside the algebra with matrix B.
+
+    Computes A = Theta^{-1} B Theta^(p).  Succeeds iff A is integral; raises
+    NotIntegralError carrying the first offending entry otherwise, and
+    SingularMatrixError for non-invertible Theta.
+    """
+    N, D, witness = _twisted_quotient(B, theta)
+    if witness is not None:
+        raise NotIntegralError(witness)
     A = Mat([[RatFunc(x, D) for x in row] for row in N])
     n = A.n
     embedding = Embedding(theta, _default_gens("u", n), _default_gens("t", n))

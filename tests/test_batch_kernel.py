@@ -11,8 +11,8 @@ import pytest
 
 from hopforders import _batch, families
 from hopforders.families import (Family, OrderRecord, _record_from_row,
-                                 enumerate_orders, oracle_check_family,
-                                 oracle_is_order, predicate)
+                                 alpha_p2_loose_predicate, enumerate_orders,
+                                 oracle_check_family, oracle_is_order, predicate)
 from hopforders.fields import FieldSpec
 
 from helpers import F2, F3, F4, F5, F8, F9, F25, brute_force_points
@@ -52,17 +52,25 @@ def test_full_grid_oracle_equivalence(spec, family):
 @pytest.mark.parametrize("spec", [F2, F3, F4, F8, F9, F25])
 @pytest.mark.parametrize("family", MATRIX_FAMILIES)
 def test_full_grid_predicate_twin_equivalence(spec, family):
+    """Each closed form, run on a whole grid, gives the verdict it gives on
+    each row's record."""
     depth = 1 if spec is F25 else 3 if spec.q in (2, 4) else 2
+    preds = [predicate] + ([alpha_p2_loose_predicate] if family is Family.ALPHA_P2 else [])
     fq = list(spec.elements())
     for i in (-1, 0, 1, 4):
         for j in (-2, 0, 2):
             if family is Family.ZP_SQUARED and (i < 0 or j < 0):
                 continue
             grid = _batch.CellGrid(spec, i, j, depth)
-            twin = _batch.predicate_verdicts(grid, family.value)
-            for row in range(1, grid.n):
-                rec = _record_from_row(family, spec, fq, row, i, j, depth)
-                assert predicate(rec) == bool(twin[row]), rec.to_json()
+
+            def record(row):
+                return _record_from_row(family, spec, fq, row, i, j, depth)
+
+            for pred in preds:
+                column = families._predicate_column(grid, family, pred, record)
+                assert len(column) == grid.n
+                for row in range(1, grid.n):
+                    assert pred(record(row)) == bool(column[row]), record(row).to_json()
 
 
 def test_grid_valuations_match_records():
@@ -84,7 +92,6 @@ def test_enumerate_batch_matches_generic():
 
 
 def test_report_batch_matches_generic_with_disagreements():
-    from hopforders.families import alpha_p2_loose_predicate
     fast = oracle_check_family(Family.ALPHA_P2, F2, range(0, 3), range(0, 3),
                                depth=3, predicate_fn=alpha_p2_loose_predicate)
     slow = brute_force_points(Family.ALPHA_P2, F2, range(0, 3), range(0, 3), 3,
@@ -94,7 +101,7 @@ def test_report_batch_matches_generic_with_disagreements():
     assert [d.record for d in fast.disagreements] == [r for r, orc, prd in slow if orc != prd]
 
 
-def test_extension_fields_use_generic_path():
+def test_extension_field_sweeps_agree():
     F9 = FieldSpec(3, 2, (1, 0, 1))
     for family in (Family.ZP_SQUARED, Family.MONO_P2):
         report = oracle_check_family(family, F4, range(0, 3), range(0, 2), depth=2)
@@ -107,7 +114,7 @@ def test_extension_fields_use_generic_path():
 def test_batch_rejects_unknown_family():
     grid = _batch.CellGrid(F2, 0, 0, 2)
     with pytest.raises(ValueError):
-        _batch.predicate_verdicts(grid, "rank1_local")
+        families._predicate_column(grid, Family.RANK1_LOCAL, predicate, None)
 
 
 def _count_calls(monkeypatch, owner, name, fn=None):

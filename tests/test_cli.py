@@ -358,6 +358,10 @@ def test_resource_limits_exit_2(capsys):
           "--depth", "21"], "MAX_CELL_POINTS"),
         (["enumerate", "--family", "alpha_p2", "--field", "p=2", "--i", "0..1000000000",
           "--j", "0..0", "--depth", "1"], "MAX_SWEEP_POINTS"),
+        (["enumerate", "--family", "alpha_p2", "--field", "p=2", "--i", "1000000000",
+          "--j", "0", "--depth", "1"], "MAX_DEGREE"),
+        (["enumerate", "--family", "alpha_p2", "--field", "p=2", "--i=-170..170",
+          "--j=-170..170", "--depth", "1"], "MAX_SWEEP_CELLS"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -1,16 +1,19 @@
+import random
+
 import pytest
 
-from hopforders.families import (MAX_CELL_POINTS, MAX_SWEEP_POINTS, Family,
-                                 OrderRecord, _record_from_row, alpha_p2_loose_predicate,
-                                 canonical_theta, default_depth, enumerate_orders, family_matrix,
-                                 oracle_check_family, oracle_is_order,
-                                 predicate, rank1_orders, theta_for_record)
+from hopforders.families import (MAX_CELL_POINTS, MAX_SWEEP_CELLS, MAX_SWEEP_POINTS,
+                                 RANK_P2_FAMILIES, Family, OrderRecord, _record_from_row,
+                                 _witness, alpha_p2_loose_predicate, canonical_theta,
+                                 default_depth, enumerate_orders, family_matrix,
+                                 oracle_check_family, oracle_is_order, predicate,
+                                 rank1_orders, theta_for_record)
 from hopforders.matrix import Mat
-from hopforders.orders import same_order
+from hopforders.orders import NotIntegralError, order_from_theta, same_order
 from hopforders.parse import MAX_DEGREE
 from hopforders.ratfunc import Poly, RatFunc
 
-from helpers import F2, F3, F4, F5, brute_force_points, pi
+from helpers import F2, F3, F4, F5, F9, brute_force_points, pi
 
 
 def rec(family, spec, i, j, theta):
@@ -368,3 +371,65 @@ def test_record_limit_refuses_before_building_the_crossing_cell(monkeypatch):
     monkeypatch.setattr("hopforders.families.MAX_RECORDS", 15)
     with pytest.raises(ValueError, match="MAX_RECORDS = 15"):
         enumerate_orders(Family.ALPHA_P_N, F2, [0], [0], depth=4)
+
+
+def test_sweep_cell_count_and_degree_limits_refuse_before_any_work(monkeypatch):
+    """More than MAX_SWEEP_CELLS (i, j) cells, or an exponent with
+    (p+1) * max(|i|, |j|) > MAX_DEGREE, is refused before any grid or record
+    is built; the degree bound holds at its edge."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work was done past the limit")
+
+    monkeypatch.setattr("hopforders._batch.CellGrid", forbidden)
+    monkeypatch.setattr("hopforders.families._record_from_row", forbidden)
+    assert 2 ** 14 == MAX_SWEEP_CELLS
+    for spec, i_range, j_range, limit in (
+            (F2, range(-170, 171), range(-170, 171), "MAX_SWEEP_CELLS"),   # 341^2 cells
+            (F3, range(2 ** 14 + 1), [0], "MAX_SWEEP_CELLS"),
+            (F2, [10 ** 9], [0], "MAX_DEGREE"),
+            (F2, [0], [-171], "MAX_DEGREE"),                               # 3 * 171 = 513
+            (F3, [0, 129], [0], "MAX_DEGREE")):                            # 4 * 129 = 516
+        for sweep in (enumerate_orders, oracle_check_family):
+            with pytest.raises(ValueError, match=limit):
+                sweep(Family.ALPHA_P2, spec, i_range, j_range, depth=1)
+    monkeypatch.undo()
+    assert (F3.p + 1) * 128 == MAX_DEGREE
+    assert oracle_check_family(Family.ALPHA_P2, F3, [-128, 128], [128], depth=1).all_agree
+
+
+def test_oracle_builds_no_order(monkeypatch):
+    """The oracle and the witnesses of a report run the integrality test
+    only: no presentation and no embedding is built."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle built an order")
+
+    monkeypatch.setattr("hopforders.orders.presentation_from_matrix", forbidden)
+    monkeypatch.setattr("hopforders.orders.Embedding", forbidden)
+    for family in (Family.ALPHA_P_N, Family.ALPHA_P2, Family.MONO_P2):
+        assert oracle_is_order(rec(family, F2, 0, 0, one(F2)))
+    report = oracle_check_family(Family.ALPHA_P2, F2, range(0, 3), range(0, 3), depth=3,
+                                 predicate_fn=alpha_p2_loose_predicate)
+    assert report.disagreements
+    assert all(d.witness is not None for d in report.disagreements)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9])
+def test_witness_matches_order_from_theta(spec):
+    """_witness gives the witness order_from_theta raises, None when it returns."""
+    rng = random.Random(f"witness|{spec.q}")
+    fq = list(spec.elements())
+    seen = set()
+    for _ in range(60):
+        family = rng.choice(RANK_P2_FAMILIES)
+        i, j = rng.randint(-2, 4), rng.randint(-2, 3)
+        row = rng.randrange(spec.q ** 2)
+        record = (_record_from_row(family, spec, fq, row, i, j, 2)
+                  or OrderRecord(family, spec.p, i, j, pi(spec, j)))
+        try:
+            order_from_theta(family_matrix(family, spec, 2), theta_for_record(record))
+            expected = None
+        except NotIntegralError as exc:
+            expected = exc.witness
+        assert _witness(record) == expected, record.to_json()
+        seen.add(expected is None)
+    assert seen == {True, False}
