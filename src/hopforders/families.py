@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from .fields import FieldSpec, FqElem
+from .fields import FieldSpec
 from .matrix import Mat, Witness
 from .orders import _term, _twisted_quotient
 from .parse import MAX_DEGREE
@@ -83,6 +83,16 @@ def _shared_matrix(family: Family, spec: FieldSpec, n: int) -> Mat:
     return Mat.zeros(spec, n)
 
 
+def _laurent(spec: FieldSpec, e: int, codes: list[int]) -> RatFunc:
+    """The Laurent polynomial sum codes[d] * T^(e+d), codes[0] != 0: the shape
+    of every canonical theta but T^j.  A polynomial with a nonzero constant
+    term is prime to T, so the fraction is reduced as built."""
+    poly = Poly._trimmed(spec, list(codes))
+    if e >= 0:
+        return RatFunc._raw(poly.shift(e), Poly.one(spec))
+    return RatFunc._raw(poly, Poly.monomial(spec, -e))
+
+
 def canonical_theta(theta: RatFunc, j: int) -> RatFunc:
     """Reduce theta mod T^j: T^j itself when v(theta) = j, otherwise the
     truncation of the T-adic expansion to exponents [v(theta), j)."""
@@ -93,31 +103,19 @@ def canonical_theta(theta: RatFunc, j: int) -> RatFunc:
     v = int(v)
     if v == j:
         return RatFunc.pi_power(spec, j)
-    prec = j - v
-    nu = theta.num.coeffs[int(theta.num.ord):]
-    de = theta.den.coeffs[int(theta.den.ord):]
-    inv0 = de[0].inverse()
-    series: list[FqElem] = []
-    for t in range(prec):
-        s = nu[t] if t < len(nu) else spec.zero
+    ar = spec.arith
+    nu = theta.num.codes[int(theta.num.ord):]
+    de = theta.den.codes[int(theta.den.ord):]
+    inv0 = ar.inv(de[0])
+    series: list[int] = []
+    for t in range(j - v):
+        if t >= len(nu) and not any(series[max(0, t - len(de) + 1):]):
+            break               # theta is a Laurent polynomial: the rest is zero
+        s = nu[t] if t < len(nu) else 0
         for s_idx in range(max(0, t - len(de) + 1), t):
-            s = s - series[s_idx] * de[t - s_idx]
-        series.append(s * inv0)
-    poly = Poly(spec, series)
-    if v >= 0:
-        return RatFunc(poly.shift(v), Poly.one(spec))
-    return RatFunc(poly, Poly.monomial(spec, -v))
-
-
-def _is_canonical_theta(theta: RatFunc, j: int) -> bool:
-    if theta == RatFunc.pi_power(theta.spec, j):
-        return True
-    if theta.is_zero():
-        return False
-    den = theta.den
-    if den.ord != den.degree:          # denominator must be a pure T-power
-        return False
-    return theta.num.degree - den.degree < j
+            s = ar.sub(s, ar.mul(series[s_idx], de[t - s_idx]))
+        series.append(ar.mul(s, inv0))
+    return _laurent(spec, v, series)
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ class OrderRecord:
         v = self.theta.val
         if v == INF or v > self.j:
             raise ValueError(f"DDL dominance requires v(theta) <= j, got v = {v}")
-        if not _is_canonical_theta(self.theta, self.j):
+        if canonical_theta(self.theta, self.j) != self.theta:
             raise ValueError("theta is not in canonical truncated form; use OrderRecord.make")
 
     @classmethod
@@ -153,7 +151,7 @@ class OrderRecord:
         th = self.theta
         if th.val == self.j:
             return (self.j, ())
-        digits = tuple(c.coeffs for c in th.num.coeffs[int(th.num.ord):])
+        digits = tuple(map(th.spec._digits, th.num.codes[int(th.num.ord):]))
         return (int(th.val), digits)
 
     def sort_key(self):
@@ -256,19 +254,17 @@ def _values(rng_desc: str, values: Iterable[int]) -> tuple[int, ...]:
     return vals
 
 
-def _record_from_row(family: Family, spec: FieldSpec, fq: list[FqElem],
+def _record_from_row(family: Family, spec: FieldSpec,
                      row: int, i: int, j: int, depth: int) -> OrderRecord | None:
-    """The record of a sweep row: its base-q digits are the coefficients of
-    theta at exponents [j-depth, j), as in _batch.CellGrid; None at row 0."""
+    """The record of a sweep row: its base-q digits are the codes of the
+    coefficients of theta at exponents [j-depth, j), as in _batch.CellGrid;
+    None at row 0."""
     q = spec.q
-    coeffs = [fq[row // q ** d % q] for d in range(depth)]
-    lo = next((d for d, c in enumerate(coeffs) if c), None)
+    codes = [row // q ** d % q for d in range(depth)]
+    lo = next((d for d, c in enumerate(codes) if c), None)
     if lo is None:
         return None
-    poly, e_lo = Poly(spec, coeffs[lo:]), j - depth + lo
-    theta = (RatFunc(poly.shift(e_lo), Poly.one(spec)) if e_lo >= 0
-             else RatFunc(poly, Poly.monomial(spec, -e_lo)))
-    return OrderRecord(family, spec.p, i, j, theta)
+    return OrderRecord(family, spec.p, i, j, _laurent(spec, j - depth + lo, codes[lo:]))
 
 
 # The most theta rows one (i, j) cell of a sweep may cover: q^depth.  The
@@ -429,7 +425,6 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
         raise ValueError(f"(p+1) * max(|i|, |j|) = {degree} exceeds the limit "
                          f"MAX_DEGREE = {MAX_DEGREE}; pass smaller exponents (--i, --j)")
     from . import _batch            # numpy loads with the first sweep
-    fq = list(spec.elements())
     B = family_matrix(family, spec, 2).rows
     limit, spot, tag = checks
     selected = 0
@@ -444,7 +439,7 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
 
     def theta_rows(i, j):
         def record(row):
-            return _record_from_row(family, spec, fq, int(row), i, j, depth)
+            return _record_from_row(family, spec, int(row), i, j, depth)
 
         grid = _batch.CellGrid(spec, i, j, depth)
         orc = _batch.oracle_verdicts(grid, B)

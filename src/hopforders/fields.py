@@ -31,17 +31,9 @@ MAX_Q = 2 ** 16
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division; FieldSpec bounds p by MAX_Q first."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Primality by the trial division of _prime_factors; FieldSpec bounds p
+    by MAX_Q first."""
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _is_irreducible(m) -> bool:

@@ -7,7 +7,6 @@ to match the usual matrix convention.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,10 +44,9 @@ class IntegralityResult:
         return self.ok
 
 
-def _bareiss(work: list[list], div) -> tuple[int, object, int]:
+def _bareiss(work: list[list[Poly]]) -> tuple[int, Poly | None, int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss), in place, of n row
-    lists over an integral domain: F_q[T] (Poly, div = floor division) or
-    F_q (FqElem, div = true division).
+    lists over F_q[T].
 
     Each of the first n columns takes as pivot its first nonzero entry at or
     below the current row, or is skipped if it has none.  Every other row r
@@ -81,7 +79,7 @@ def _bareiss(work: list[list], div) -> tuple[int, object, int]:
                     new = [piv * x - f * y for x, y in zip(row[col + 1:], right)]
                 else:
                     new = [piv * x for x in row[col + 1:]]
-                row[col + 1:] = new if prev is None else [div(x, prev) for x in new]
+                row[col + 1:] = new if prev is None else [x // prev for x in new]
         prev = piv
         rank += 1
     return rank, prev, swaps
@@ -93,7 +91,7 @@ def _solve(M: list[list[Poly]], Y: Sequence[Sequence[Poly]]) -> tuple[list[list[
     when det M = 0."""
     n = len(M)
     work = [list(m) + list(y) for m, y in zip(M, Y)]
-    rank, det, _ = _bareiss(work, operator.floordiv)
+    rank, det, _ = _bareiss(work)
     if rank < n:
         raise SingularMatrixError("matrix is singular over K")
     return [row[n:] for row in work], det
@@ -101,7 +99,7 @@ def _solve(M: list[list[Poly]], Y: Sequence[Sequence[Poly]]) -> tuple[list[list[
 
 def _matmul(X: Sequence[Sequence], Y: Sequence[Sequence], zero) -> list[list]:
     """X @ Y for row lists over a ring whose elements test false exactly at
-    zero (RatFunc, Poly or FqElem): zero products are skipped, each sum starts
+    zero (RatFunc or Poly): zero products are skipped, each sum starts
     from its first term, and an entry with no nonzero term is `zero`."""
     cols = list(zip(*Y))
     out = []
@@ -210,7 +208,7 @@ class Mat:
         """Exact determinant det M / d^n for self = M / d, by fraction-free
         elimination of M."""
         M, d = self._polynomial_form()
-        rank, last, swaps = _bareiss(M, operator.floordiv)
+        rank, last, swaps = _bareiss(M)
         if rank < self.n:
             return RatFunc.zero(self.spec)
         return RatFunc(-last if swaps % 2 else last, d ** self.n)
@@ -243,7 +241,7 @@ class Mat:
         if not self.is_integral():
             return False
         M, d = self._polynomial_form()
-        rank, det, _ = _bareiss(M, operator.floordiv)
+        rank, det, _ = _bareiss(M)
         return rank == self.n and det.ord == self.n * d.ord
 
     def __eq__(self, other):

@@ -19,7 +19,6 @@ valuation dominates the valuation of every entry to its left.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .fields import FqElem
@@ -167,7 +166,8 @@ def _twisted_quotient(B: Mat, theta: Mat) -> tuple[list[list[Poly]], Poly, Witne
     (N, D, witness), A = Theta^{-1} B Theta^(p) = N / D, the witness the first
     entry of A in row-major order with ord(N_ij) < ord(D), None if A is
     integral.  With Theta = M / d and B = B' / b over F_q[T], N = adj(M) B' M^(p)
-    and D = det M * b * d^(p-1); no division in K happens before the verdict."""
+    and D = det M * b * d^(p-1), with d^(p-1) = d^(p) / d so that every twist
+    is bounded by MAX_TWIST_DEGREE; no division in K happens before the verdict."""
     res = B.is_integral()
     if not res:
         raise ValueError(f"B must be integral: {res.witness}")
@@ -177,7 +177,7 @@ def _twisted_quotient(B: Mat, theta: Mat) -> tuple[list[list[Poly]], Poly, Witne
     Bm, b = B._polynomial_form()
     twisted = [[x.pth_power() for x in row] for row in M]
     N, det = _solve(M, _matmul(Bm, twisted, Poly.zero(theta.spec)))
-    D = det * b * d ** (theta.spec.p - 1)
+    D = det * b * (d.pth_power() // d)
     ord_D = D.ord
     for i, row in enumerate(N):
         for j, x in enumerate(row):
@@ -223,7 +223,7 @@ def same_order(theta1: Mat, theta2: Mat) -> bool:
         theta1._check_compat(theta2)
     M2, d2 = theta2._polynomial_form()
     N, D = _solve(M1, M2)
-    rank, det2, _ = _bareiss(M2, operator.floordiv)
+    rank, det2, _ = _bareiss(M2)
     if rank < n:
         raise SingularMatrixError("matrix is singular over K")
     bound = D.ord + d2.ord - d1.ord
@@ -324,27 +324,22 @@ def embedding_generators(embedding: Embedding) -> list[str]:
 
 # -- special fibre: semilinear operator powers over F_q --
 
-def _fq_frobenius(X):
-    return [[c.frobenius() for c in row] for row in X]
-
-
 def special_fibre(A: Mat) -> FibreReport:
     """Reduce A mod T and classify the fibre via ranks of the powers of the
-    semilinear operator F: N_m = Abar * Abar^(p) * ... * Abar^(p^(m-1))."""
+    semilinear operator F: N_m = Abar * Abar^(p) * ... * Abar^(p^(m-1)),
+    computed on Abar as a matrix of constant polynomials."""
     res = A.is_integral()
     if not res:
         raise ValueError(f"special fibre requires an integral matrix: {res.witness}")
-    n = A.n
-    zero = A.spec.zero
+    n, spec = A.n, A.spec
     abar = [[x.residue() for x in row] for row in A.rows]
     ranks = []
-    acc = abar
-    twisted = abar
+    acc = twisted = [[Poly(spec, (c,)) for c in row] for row in abar]
     for m in range(1, n + 1):
-        ranks.append(_bareiss([list(row) for row in acc], operator.truediv)[0])
+        ranks.append(_bareiss([list(row) for row in acc])[0])
         if m < n:
-            twisted = _fq_frobenius(twisted)
-            acc = _matmul(acc, twisted, zero)
+            twisted = [[x.pth_power() for x in row] for row in twisted]
+            acc = _matmul(acc, twisted, Poly.zero(spec))
     etale_rank = ranks[-1]
     return FibreReport(
         abar=tuple(tuple(row) for row in abar),

@@ -17,6 +17,12 @@ from .fields import FieldSpec, FqElem
 
 INF = math.inf
 
+# The largest degree p * deg a Frobenius twist may build: Poly.pth_power
+# spreads a degree-d polynomial to degree p * d, the one place where a degree
+# grows by the factor p.  A parsed polynomial has degree at most
+# parse.MAX_DEGREE = 512, so its twist passes for every p <= 128.
+MAX_TWIST_DEGREE = 2 ** 16
+
 
 class Poly:
     """A polynomial in T over F_q, coefficients ascending, trailing zeros trimmed.
@@ -233,12 +239,17 @@ class Poly:
         return out
 
     def pth_power(self) -> "Poly":
-        """(sum c_i T^i)^p = sum c_i^p T^(p i); exact in characteristic p."""
+        """(sum c_i T^i)^p = sum c_i^p T^(p i); exact in characteristic p.
+        Refuses a result of degree above MAX_TWIST_DEGREE before building it."""
         if not self.codes:
             return self
         spec = self.spec
         p = spec.p
-        out = [0] * ((len(self.codes) - 1) * p + 1)
+        degree = (len(self.codes) - 1) * p
+        if degree > MAX_TWIST_DEGREE:
+            raise ValueError(f"a Frobenius twist of degree p * deg = {p} * {len(self.codes) - 1} "
+                             f"= {degree} exceeds the limit MAX_TWIST_DEGREE = {MAX_TWIST_DEGREE}")
+        out = [0] * (degree + 1)
         out[::p] = map(spec.arith.frob, self.codes)
         return Poly._raw(spec, tuple(out))
 

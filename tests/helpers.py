@@ -120,13 +120,12 @@ def brute_force_points(family, spec, i_values, j_values, depth, pred_fn=None):
     """
     from hopforders.families import (Family, OrderRecord, _record_from_row,
                                      oracle_is_order)
-    fq = list(spec.elements())
     points = []
     for i in i_values:
         for j in j_values:
             if family is Family.ZP_SQUARED and (i < 0 or j < 0):
                 continue
-            recs = [_record_from_row(family, spec, fq, row, i, j, depth)
+            recs = [_record_from_row(family, spec, row, i, j, depth)
                     for row in range(1, spec.q ** depth)]
             recs.append(OrderRecord(family, spec.p, i, j, pi(spec, j)))
             points += [(r, oracle_is_order(r), None if pred_fn is None else pred_fn(r))

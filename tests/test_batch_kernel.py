@@ -38,14 +38,13 @@ def test_full_grid_oracle_equivalence(spec, family):
     cases = [(1 if spec is F25 else 3 if spec.q in (2, 4) else 2, (-1, 0, 2, 5))]
     if spec is F3:
         cases.append((3, (-3, -1)))     # negative i at depth 3
-    fq = list(spec.elements())
     for depth, i_values in cases:
         for i in i_values:
             for j in (-2, 0, 1, 3):
                 grid = _batch.CellGrid(spec, i, j, depth)
                 fast = _batch.oracle_verdicts(grid, B_INTS[family])
                 for row in range(1, grid.n):
-                    rec = _record_from_row(family, spec, fq, row, i, j, depth)
+                    rec = _record_from_row(family, spec, row, i, j, depth)
                     assert oracle_is_order(rec) == bool(fast[row]), rec.to_json()
 
 
@@ -56,7 +55,6 @@ def test_full_grid_predicate_twin_equivalence(spec, family):
     each row's record."""
     depth = 1 if spec is F25 else 3 if spec.q in (2, 4) else 2
     preds = [predicate] + ([alpha_p2_loose_predicate] if family is Family.ALPHA_P2 else [])
-    fq = list(spec.elements())
     for i in (-1, 0, 1, 4):
         for j in (-2, 0, 2):
             if family is Family.ZP_SQUARED and (i < 0 or j < 0):
@@ -64,7 +62,7 @@ def test_full_grid_predicate_twin_equivalence(spec, family):
             grid = _batch.CellGrid(spec, i, j, depth)
 
             def record(row):
-                return _record_from_row(family, spec, fq, row, i, j, depth)
+                return _record_from_row(family, spec, row, i, j, depth)
 
             for pred in preds:
                 column = families._predicate_column(grid, family, pred, record)
@@ -74,10 +72,9 @@ def test_full_grid_predicate_twin_equivalence(spec, family):
 
 
 def test_grid_valuations_match_records():
-    fq = list(F3.elements())
     grid = _batch.CellGrid(F3, 0, 1, 3)
     for row in range(1, grid.n):
-        rec = _record_from_row(Family.ALPHA_P_N, F3, fq, row, 0, 1, 3)
+        rec = _record_from_row(Family.ALPHA_P_N, F3, row, 0, 1, 3)
         assert rec.theta.val == int(grid.v_theta[row])
     assert grid.v_theta[0] == _batch.BIG
 

@@ -196,6 +196,15 @@ def test_check_not_integral(capsys):
     assert "not integral" in out and "(2,1)" in out
 
 
+def test_check_json_not_integral_is_pinned(capsys):
+    code = main(["check", "--field", "p=2", "--B", "[0,1;0,0]",
+                 "--theta", "[1,0;1/T,T]", "--json"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        '{"field": "p=2", "integral": false, "witness": {"row": 1, "col": 1, '
+        '"valuation": -2, "entry": "1/T^2"}}\n')
+
+
 def test_check_singular_theta_exit_2(capsys):
     code = main(["check", "--field", "p=2", "--B", "[0,1;0,0]",
                  "--theta", "[1,1;1,1]"])
@@ -268,6 +277,15 @@ def test_oracle_check_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "disagreements=0" in out
+
+
+def test_oracle_check_json_is_pinned(capsys):
+    code = main(["oracle-check", "--family", "alpha_p2", "--field", "p=2",
+                 "--i", "0..1", "--j", "0..1", "--depth", "2", "--json"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"family": "alpha_p2", "p": 2, "depth": 2, "i_values": [0, 1], '
+        '"j_values": [0, 1], "total": 16, "agreements": 16, "disagreements": []}\n')
 
 
 def test_rank1_command(capsys):
@@ -362,6 +380,10 @@ def test_resource_limits_exit_2(capsys):
           "--j", "0", "--depth", "1"], "MAX_DEGREE"),
         (["enumerate", "--family", "alpha_p2", "--field", "p=2", "--i=-170..170",
           "--j=-170..170", "--depth", "1"], "MAX_SWEEP_CELLS"),
+        (["check", "--field", "p=65521", "--B", "[1+T,0;0,1]",
+          "--theta", "[1+T^512,0;1,T^512]"], "MAX_TWIST_DEGREE"),
+        (["check", "--field", "p=65521", "--B", "[1]", "--theta", "[T^512]"],
+         "MAX_TWIST_DEGREE"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

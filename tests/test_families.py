@@ -80,6 +80,33 @@ def test_record_validation():
         OrderRecord(Family.ALPHA_P2, 3, 0, 1, one(F2))         # wrong p
     made = OrderRecord.make(Family.ALPHA_P2, 0, 3, one(F2) / (one(F2) + pi(F2)))
     assert made.theta == RatFunc.from_poly(Poly.from_ints(F2, [1, 1, 1]))
+    # a Laurent polynomial's series ends with its numerator, whatever j is
+    assert OrderRecord(Family.ALPHA_P2, 2, 0, 10 ** 12, one(F2) + pi(F2)).theta.val == 0
+
+
+def test_record_accepts_exactly_the_truncated_laurent_forms():
+    """OrderRecord accepts theta exactly when it is T^j or a Laurent
+    polynomial with top exponent below j (a T-power denominator)."""
+    from helpers import rand_nonzero_ratfunc
+    rng = random.Random(61)
+    seen = set()
+    for spec in (F2, F3, F4):
+        for _ in range(300):
+            theta = rand_nonzero_ratfunc(rng, spec)
+            if rng.random() < 0.5:
+                theta = canonical_theta(theta, int(theta.val) + rng.randrange(1, 4))
+            j = int(theta.val) + rng.randrange(0, 4)
+            den = theta.den
+            laurent = den.ord == den.degree and theta.num.degree - den.degree < j
+            expected = theta == pi(spec, j) or laurent
+            try:
+                OrderRecord(Family.ALPHA_P_N, spec.p, 0, j, theta)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected, (str(theta), j)
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_record_dedupe_semantics():
@@ -188,6 +215,28 @@ def test_loose_bound_flagged_by_harness():
     for d in hits:
         assert d.predicate_verdict and not d.oracle_verdict
         assert d.witness is not None and d.witness.valuation < 0
+
+
+def test_agreement_report_json_is_pinned():
+    report = oracle_check_family(Family.ALPHA_P2, F2, [0], [1], depth=1,
+                                 predicate_fn=alpha_p2_loose_predicate)
+    assert report.to_json() == {
+        "family": "alpha_p2", "p": 2, "depth": 1, "i_values": [0], "j_values": [1],
+        "total": 2, "agreements": 1, "disagreements": [{
+            "family": "alpha_p2", "p": 2, "i": 0, "j": 1, "theta": "1", "v_theta": 0,
+            "monogenic": False, "predicate": True, "oracle": False,
+            "witness": {"row": 2, "col": 1, "valuation": -1, "entry": "1/T"}}]}
+
+
+def test_custom_predicate_runs_per_point_with_the_same_report():
+    """A predicate_fn that is not one of the closed forms runs record by
+    record and reports what the closed form reports on the grid."""
+    args = (Family.ALPHA_P2, F3, range(-1, 3), range(-1, 3))
+    per_point = oracle_check_family(*args, depth=2,
+                                    predicate_fn=lambda r: alpha_p2_loose_predicate(r))
+    assert not per_point.all_agree
+    assert per_point == oracle_check_family(*args, depth=2,
+                                            predicate_fn=alpha_p2_loose_predicate)
 
 
 # -- enumeration --
@@ -355,9 +404,9 @@ def test_record_limit_refuses_before_building_the_crossing_cell(monkeypatch):
     that crosses the limit builds any record; a sweep at the limit returns."""
     built = []
 
-    def counted(family, spec, fq, row, i, j, depth):
+    def counted(family, spec, row, i, j, depth):
         built.append((i, j))
-        return _record_from_row(family, spec, fq, row, i, j, depth)
+        return _record_from_row(family, spec, row, i, j, depth)
 
     monkeypatch.setattr("hopforders.families._record_from_row", counted)
     # alpha_p_n accepts every point: 15 theta rows plus T^j per depth-4 cell
@@ -417,13 +466,12 @@ def test_oracle_builds_no_order(monkeypatch):
 def test_witness_matches_order_from_theta(spec):
     """_witness gives the witness order_from_theta raises, None when it returns."""
     rng = random.Random(f"witness|{spec.q}")
-    fq = list(spec.elements())
     seen = set()
     for _ in range(60):
         family = rng.choice(RANK_P2_FAMILIES)
         i, j = rng.randint(-2, 4), rng.randint(-2, 3)
         row = rng.randrange(spec.q ** 2)
-        record = (_record_from_row(family, spec, fq, row, i, j, 2)
+        record = (_record_from_row(family, spec, row, i, j, 2)
                   or OrderRecord(family, spec.p, i, j, pi(spec, j)))
         try:
             order_from_theta(family_matrix(family, spec, 2), theta_for_record(record))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hopforders.fields import FieldSpec
 from hopforders.matrix import Mat, SingularMatrixError
 from hopforders.orders import (NotIntegralError, ddl_normalize,
                                embedding_generators, is_ddl, order_from_theta,
@@ -151,6 +152,20 @@ def test_order_from_theta_preconditions():
 
 
 # -- verify_twisted_equation --
+
+def test_order_from_theta_twist_degree_limit():
+    """Theta's entries and its common denominator d (for d^(p-1) = d^(p) / d)
+    are twisted under MAX_TWIST_DEGREE: p * 2 is refused, p * 1 passes."""
+    F = FieldSpec(65521)
+    one = Mat([[RatFunc.one(F)]])
+    for theta in (pi(F, 2), pi(F, -2)):
+        with pytest.raises(ValueError, match="MAX_TWIST_DEGREE"):
+            order_from_theta(one, Mat([[theta]]))
+    assert order_from_theta(one, Mat([[pi(F, 1)]])).A == Mat([[pi(F, 65520)]])
+    with pytest.raises(NotIntegralError) as exc:
+        order_from_theta(one, Mat([[pi(F, -1)]]))
+    assert exc.value.witness.valuation == -65520
+
 
 def test_verify_trivial():
     rng = random.Random(9)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from hopforders.ratfunc import INF, Poly, RatFunc, poly_gcd
+from hopforders.fields import FieldSpec
+from hopforders.ratfunc import INF, MAX_TWIST_DEGREE, Poly, RatFunc, poly_gcd
 
 from helpers import (F2, F3, F4, F5, F9, pi, rand_nonzero_ratfunc, rand_poly,
                      rand_ratfunc)
@@ -78,6 +79,19 @@ def test_pth_power_coefficient_frobenius():
     expected = RatFunc.from_poly(Poly(F4, (a * a, F4.zero, F4.one)))
     assert x.pth_power() == expected
     assert x.pth_power().num.constant() == F4.element((1, 1))
+
+
+def test_twist_degree_limit():
+    """A twist of degree p * deg above MAX_TWIST_DEGREE is refused before it
+    is built."""
+    assert MAX_TWIST_DEGREE == 2 ** 16
+    F = FieldSpec(65521)
+    at_limit = Poly.monomial(F2, MAX_TWIST_DEGREE // 2)
+    assert at_limit.pth_power() == Poly.monomial(F2, MAX_TWIST_DEGREE)
+    for poly in (Poly.monomial(F2, MAX_TWIST_DEGREE // 2 + 1), Poly.monomial(F, 2)):
+        with pytest.raises(ValueError, match="MAX_TWIST_DEGREE"):
+            poly.pth_power()
+    assert Poly.monomial(F, 1).pth_power().degree == 65521
 
 
 def test_residue():
