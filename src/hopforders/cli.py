@@ -147,31 +147,23 @@ def _family_arg(text: str) -> Family:
     return fam
 
 
-def _record_lines(records, spec):
-    for rec in records:
-        result = order_from_theta(family_matrix(rec.family, spec, 2),
-                                  theta_for_record(rec))
-        fibre = special_fibre(result.A)
-        yield rec, fibre
-
-
 def _cmd_enumerate(args) -> int:
     spec = parse_field_spec(args.field)
     family = _family_arg(args.family)
     records = enumerate_orders(family, spec, _parse_range(args.i),
                                _parse_range(args.j), depth=args.depth)
-    if args.json:
-        payload = []
-        for rec, fibre in _record_lines(records, spec):
-            item = rec.to_json()
-            item["fibre"] = fibre.to_json()
-            payload.append(item)
-        print(json.dumps(payload))
-    else:
-        for rec, fibre in _record_lines(records, spec):
+    B = family_matrix(family, spec, 2)
+    payload = []
+    for rec in records:
+        fibre = special_fibre(order_from_theta(B, theta_for_record(rec)).A)
+        if args.json:
+            payload.append({**rec.to_json(), "fibre": fibre.to_json()})
+        else:
             print(f"family={rec.family} p={rec.p} i={rec.i} j={rec.j} "
                   f"theta={rec.theta} monogenic={'yes' if rec.monogenic else 'no'} "
                   f"fibre={list(fibre.fpower_ranks)}:{fibre.classification}")
+    if args.json:
+        print(json.dumps(payload))
     return 0
 
 

@@ -95,7 +95,9 @@ def _laurent(spec: FieldSpec, e: int, codes: list[int]) -> RatFunc:
 
 def canonical_theta(theta: RatFunc, j: int) -> RatFunc:
     """Reduce theta mod T^j: T^j itself when v(theta) = j, otherwise the
-    truncation of the T-adic expansion to exponents [v(theta), j)."""
+    truncation of the T-adic expansion to exponents [v(theta), j).  When
+    theta is not a Laurent polynomial its expansion never ends, so j - v(theta)
+    may not exceed MAX_DEGREE."""
     spec = theta.spec
     v = theta.val
     if v == INF or v > j:
@@ -106,6 +108,9 @@ def canonical_theta(theta: RatFunc, j: int) -> RatFunc:
     ar = spec.arith
     nu = theta.num.codes[int(theta.num.ord):]
     de = theta.den.codes[int(theta.den.ord):]
+    if len(de) > 1 and j - v > MAX_DEGREE:
+        raise ValueError(f"the truncation of a non-Laurent theta to j - v(theta) = {j - v} "
+                         f"terms exceeds the limit MAX_DEGREE = {MAX_DEGREE}")
     inv0 = ar.inv(de[0])
     series: list[int] = []
     for t in range(j - v):
@@ -378,17 +383,24 @@ def _predicate_column(grid, family: Family, pred_fn, record):
                                 lambda: grid.theta_p, grid.pi_power), grid.n)
 
 
+def _check_record_count(count: int) -> None:
+    """Refuse a sweep that would return `count` > MAX_RECORDS records."""
+    if count > MAX_RECORDS:
+        raise ValueError(f"the records of a sweep exceed the limit MAX_RECORDS = "
+                         f"{MAX_RECORDS}; pass a smaller depth or ranges (--depth, --i, --j)")
+
+
 def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
     """The one pass over the (i, j, theta) grid behind both public sweeps.
 
     Validates the grid, each cell at most MAX_CELL_POINTS points, the whole
     at most MAX_SWEEP_POINTS points and MAX_SWEEP_CELLS cells, and
-    (p+1) * max(|i|, |j|) at most MAX_DEGREE, and returns (family, depth, i_values,
-    j_values, cells); `cells` raises ValueError before the cell whose
-    records would take the sweep past MAX_RECORDS builds any of them;
-    `cells` yields, per (i, j) cell, the number of points covered (theta rows
-    plus T^j) and (record, oracle, predicate) for each point `_disputed`
-    selects, in row order with T^j last.
+    (p+1) * max(|i|, |j|) at most MAX_DEGREE, then returns (family, depth,
+    i_values, j_values, total, found): `total` counts the points covered
+    (theta rows plus T^j per cell) and `found` holds (record, oracle,
+    predicate) for each point `_disputed` selects, cell by cell, in row order
+    with T^j last.  A cell whose records would take `found` past MAX_RECORDS
+    raises ValueError before it builds any of them.
 
     Every field runs the numpy kernel, and with checks = (limit, spot, tag)
     the object path re-decides every row of a cell with at most `limit` rows,
@@ -427,30 +439,23 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
     from . import _batch            # numpy loads with the first sweep
     B = family_matrix(family, spec, 2).rows
     limit, spot, tag = checks
-    selected = 0
-
-    def select(rows):
-        nonlocal selected
-        selected += len(rows)
-        if selected > MAX_RECORDS:
-            raise ValueError(f"the records of a sweep exceed the limit MAX_RECORDS = "
-                             f"{MAX_RECORDS}; pass a smaller depth or ranges (--depth, --i, --j)")
-        return rows
-
-    def theta_rows(i, j):
-        def record(row):
-            return _record_from_row(family, spec, int(row), i, j, depth)
-
+    total = 0
+    found: list[tuple[OrderRecord, bool, bool | None]] = []
+    for i, j in itertools.product(i_values, j_values):
+        if family is Family.ZP_SQUARED and (i < 0 or j < 0):
+            continue  # this family's predicate requires i, j >= 0
+        record = functools.partial(_record_from_row, family, spec, i=i, j=j, depth=depth)
         grid = _batch.CellGrid(spec, i, j, depth)
         orc = _batch.oracle_verdicts(grid, B)
         prd = None if pred_fn is None else _predicate_column(grid, family, pred_fn, record)
-        disputed = select(_disputed(orc, prd)[1:].nonzero()[0] + 1)
+        disputed = (_disputed(orc, prd)[1:].nonzero()[0] + 1).tolist()
+        _check_record_count(len(found) + len(disputed))
         if grid.n - 1 <= limit:
             rows = range(1, grid.n)
         else:
             rows = _sample_rows(grid.n, spot, (family.value, spec.p, i, j, depth, tag))
         if prd is not None:
-            rows = sorted(set(rows).union(disputed.tolist()))
+            rows = sorted(set(rows).union(disputed))
         decided = {}
         for row in rows:
             rec, *verdicts = decided[row] = _decide(record(row), pred_fn)
@@ -458,21 +463,14 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
             if verdicts != batch:
                 raise BatchMismatchError(f"batch/object mismatch at {rec.to_json()}: (oracle, "
                                          f"predicate) = {verdicts} object, {batch} batch")
-        if prd is not None:
-            return [decided[row] for row in disputed]
-        return [(record(row), True, None) for row in disputed]  # sample-checked above
-
-    def cells():
-        for i, j in itertools.product(i_values, j_values):
-            if family is Family.ZP_SQUARED and (i < 0 or j < 0):
-                continue  # this family's predicate requires i, j >= 0
-            disputed = theta_rows(i, j)
-            rec_pj = _decide(OrderRecord(family, spec.p, i, j, RatFunc.pi_power(spec, j)), pred_fn)
-            if _disputed(rec_pj[1], rec_pj[2]):
-                disputed += select([rec_pj])
-            yield spec.q ** depth, disputed
-
-    return family, depth, i_values, j_values, cells()
+        # with no predicate, a row not sampled is one the kernel's oracle accepts
+        found += [decided.get(row) or (record(row), True, None) for row in disputed]
+        rec_pj = _decide(OrderRecord(family, spec.p, i, j, RatFunc.pi_power(spec, j)), pred_fn)
+        if _disputed(rec_pj[1], rec_pj[2]):
+            _check_record_count(len(found) + 1)
+            found.append(rec_pj)
+        total += spec.q ** depth
+    return family, depth, i_values, j_values, total, found
 
 
 def oracle_check_family(family: Family, spec: FieldSpec,
@@ -489,18 +487,14 @@ def oracle_check_family(family: Family, spec: FieldSpec,
     BatchMismatchError.  A custom predicate_fn is evaluated per point (meant
     for small grids).
     """
-    family, depth, i_values, j_values, cells = _sweep(
+    family, depth, i_values, j_values, total, found = _sweep(
         family, spec, i_range, j_range, depth,
         predicate_fn if predicate_fn is not None else predicate,
         (EXHAUSTIVE_LIMIT, SPOT_CHECKS, "chk"))
-    total = 0
-    disagreements: list[Disagreement] = []
-    for points, disputed in cells:
-        total += points
-        disagreements.extend(Disagreement(rec, g_prd, g_orc, None if g_orc else _witness(rec))
-                             for rec, g_orc, g_prd in disputed)
+    disagreements = tuple(Disagreement(rec, g_prd, g_orc, None if g_orc else _witness(rec))
+                          for rec, g_orc, g_prd in found)
     return AgreementReport(family, spec.p, depth, i_values, j_values,
-                           total, total - len(disagreements), tuple(disagreements))
+                           total, total - len(disagreements), disagreements)
 
 
 def enumerate_orders(family: Family, spec: FieldSpec,
@@ -514,10 +508,9 @@ def enumerate_orders(family: Family, spec: FieldSpec,
     spot-checked on ENUM_SPOT_CHECKS seeded rows per cell.
     Deterministic order: (i, j, canonical theta).
     """
-    *_, cells = _sweep(family, spec, i_range, j_range, depth, None,
+    *_, found = _sweep(family, spec, i_range, j_range, depth, None,
                        (0, ENUM_SPOT_CHECKS, "enum"))
-    return sorted((rec for _, disputed in cells for rec, _, _ in disputed),
-                  key=OrderRecord.sort_key)
+    return sorted((rec for rec, _, _ in found), key=OrderRecord.sort_key)
 
 
 # -- rank p --

@@ -288,6 +288,32 @@ def test_oracle_check_json_is_pinned(capsys):
         '"j_values": [0, 1], "total": 16, "agreements": 16, "disagreements": []}\n')
 
 
+# SHA-256 of the --json stdout of the five presets, in RANK_P2_FAMILIES order,
+# at i, j in -1..2 and depth 2
+SWEEP_DIGESTS = {
+    ("enumerate", "p=2"): "32301774026d5e2b5d9d67de5d1ca91048518a26e284c11aae925310a40c2047",
+    ("enumerate", "p=3"): "9dbf817f497c22877e3238365f1d7fb7c7d4afb8024cdd8861fa6bce8e3a02e4",
+    ("enumerate", "p=2;k=2;mod=a^2+a+1"):
+        "292fc016bf59a5b06917b35fd63804d7249006f692659901c95fd02a2d541601",
+    ("oracle-check", "p=2"): "fa63d123881a2e7501afb0c12147cdb170027af575f8ea3586f1a4ee724831f2",
+    ("oracle-check", "p=3"): "43022b8ad1cdb6624713a989243b1fbc79fd2c68ee3bfd7c0209642673e31c39",
+    ("oracle-check", "p=2;k=2;mod=a^2+a+1"):
+        "acaa1e6d0b1da6c66fe42b38358bfc85df61a09c0131b9604dabe16f8fd634a9",
+}
+
+
+@pytest.mark.parametrize("command, field", sorted(SWEEP_DIGESTS))
+def test_sweep_json_bytes_are_pinned(command, field, capsys):
+    import hashlib
+    from hopforders.families import RANK_P2_FAMILIES
+    digest = hashlib.sha256()
+    for family in RANK_P2_FAMILIES:
+        assert main([command, "--family", family.value, "--field", field,
+                     "--i=-1..2", "--j=-1..2", "--depth", "2", "--json"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SWEEP_DIGESTS[command, field]
+
+
 def test_rank1_command(capsys):
     assert main(["rank1", "--field", "p=3", "--b", "0", "--i", "-5"]) == 0
     assert main(["rank1", "--field", "p=3", "--b", "1", "--i", "-1"]) == 1

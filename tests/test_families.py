@@ -84,6 +84,29 @@ def test_record_validation():
     assert OrderRecord(Family.ALPHA_P2, 2, 0, 10 ** 12, one(F2) + pi(F2)).theta.val == 0
 
 
+def test_canonical_truncation_of_a_series_is_bounded():
+    """A theta whose series never ends is truncated to at most MAX_DEGREE
+    terms; past that, make and the constructor refuse it at once."""
+    import time
+    theta = one(F2) / (one(F2) + pi(F2))                       # 1 + T + T^2 + ...
+    made = OrderRecord.make(Family.ALPHA_P2, 0, MAX_DEGREE, theta)
+    assert made.theta == RatFunc.from_poly(Poly.from_ints(F2, [1] * MAX_DEGREE))
+    with pytest.raises(ValueError, match="not in canonical"):
+        OrderRecord(Family.ALPHA_P2, 2, 0, MAX_DEGREE, theta)
+    for j in (MAX_DEGREE + 1, 10 ** 9):
+        for build in (lambda: OrderRecord.make(Family.ALPHA_P2, 0, j, theta),
+                      lambda: OrderRecord(Family.ALPHA_P2, 2, 0, j, theta)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="MAX_DEGREE = 512"):
+                build()
+            assert time.perf_counter() - start < 0.5
+    # v(theta) = -2: the bound counts terms from v, not from 0
+    shifted = theta * pi(F2, -2)
+    assert OrderRecord.make(Family.ALPHA_P2, 0, MAX_DEGREE - 2, shifted).theta.val == -2
+    with pytest.raises(ValueError, match="MAX_DEGREE"):
+        OrderRecord.make(Family.ALPHA_P2, 0, MAX_DEGREE - 1, shifted)
+
+
 def test_record_accepts_exactly_the_truncated_laurent_forms():
     """OrderRecord accepts theta exactly when it is T^j or a Laurent
     polynomial with top exponent below j (a T-power denominator)."""
