@@ -100,14 +100,14 @@ class Laurent:
 
 
 class CellGrid:
-    """All nonzero theta candidates supported on exponents [j-depth, j-1].
+    """All theta candidates supported on exponents [j-depth, j-1].
 
     Row r of the grid encodes theta = sum_d c_d T^(j-depth+d), the c_d being
-    the base-q digits of r read as F_q codes; row 0 is the zero theta and is
-    skipped by callers.
+    the base-q digits of r read as F_q codes; row 0 is theta = 0, whose order
+    is that of the T^j record.
     """
 
-    __slots__ = ("p", "i", "j", "depth", "n", "ar", "theta", "theta_p", "v_theta")
+    __slots__ = ("p", "i", "j", "depth", "n", "ar", "theta", "theta_p")
 
     def __init__(self, spec: FieldSpec, i: int, j: int, depth: int):
         q, n, ar = spec.q, spec.q ** depth, _arith(spec)
@@ -117,7 +117,6 @@ class CellGrid:
         # theta^(p): Frobenius on the coefficients, exponents scaled by p
         self.theta_p = Laurent(ar, n, {self.p * e: ar.frob(c)
                                        for e, c in self.theta.terms.items()})
-        self.v_theta = self.theta.val
 
     def pi_power(self, e: int) -> Laurent:
         """T^e on every row."""
@@ -125,8 +124,8 @@ class CellGrid:
 
 
 def oracle_verdicts(grid: CellGrid, b01) -> np.ndarray:
-    """Integrality of Theta^{-1} B Theta^(p) per theta row (row 0 meaningless),
-    for B given by the rows `b01` of a 0/1 matrix (ints or RatFuncs)."""
+    """Integrality of Theta^{-1} B Theta^(p) per theta row (row 0, theta = 0,
+    is the T^j record), for B given by the rows `b01` of a 0/1 matrix (ints or RatFuncs)."""
     p, i, j = grid.p, grid.i, grid.j
     T, zero = grid.pi_power, Laurent(grid.ar, grid.n, {})
     adj = [[T(j), zero], [-grid.theta, T(i)]]

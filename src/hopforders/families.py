@@ -192,12 +192,13 @@ def oracle_is_order(record: OrderRecord) -> bool:
     return _witness(record) is None
 
 
-def _closed_form(family, p, i, j, v, theta, twist, T):
-    """The closed form of `family`, with v = v(theta), twist() = theta^(p) and
-    T(e) = T^e.  Conditions combine with `&`, so the same text runs on a record
-    (int v, RatFunc theta) and on a sweep grid (array v, Laurent theta)."""
+def _closed_form(family, p, i, j, theta, twist, T):
+    """The closed form of `family`, with twist() = theta^(p) and T(e) = T^e.
+    Conditions combine with `&`, so the same text runs on a record (RatFunc
+    theta, int v) and on a sweep grid (Laurent theta, array v)."""
     if family is Family.ALPHA_P_N:
         return True
+    v = theta.val
     if family is Family.ALPHA_P2:
         return (p * j >= i) & (p * v >= i) & ((p + 1) * v >= i + j)
     if family is Family.ZP_X_AP:
@@ -212,16 +213,16 @@ def _closed_form(family, p, i, j, v, theta, twist, T):
     raise ValueError(f"no rank-p^2 predicate for family {family}")
 
 
-def _loose_closed_form(family, p, i, j, v, theta, twist, T):
+def _loose_closed_form(family, p, i, j, theta, twist, T):
     """The loose alpha_p2 bound, called like _closed_form."""
     if family is not Family.ALPHA_P2:
         raise ValueError("loose bound applies to the alpha_p2 family only")
-    return (p * j >= i) & (v >= i - (p - 1) * j)
+    return (p * j >= i) & (theta.val >= i - (p - 1) * j)
 
 
 def _at_record(form, record: OrderRecord) -> bool:
     th = record.theta
-    return form(record.family, record.p, record.i, record.j, int(th.val), th,
+    return form(record.family, record.p, record.i, record.j, th,
                 th.pth_power, functools.partial(RatFunc.pi_power, th.spec))
 
 
@@ -260,16 +261,18 @@ def _values(rng_desc: str, values: Iterable[int]) -> tuple[int, ...]:
 
 
 def _record_from_row(family: Family, spec: FieldSpec,
-                     row: int, i: int, j: int, depth: int) -> OrderRecord | None:
+                     row: int, i: int, j: int, depth: int) -> OrderRecord:
     """The record of a sweep row: its base-q digits are the codes of the
-    coefficients of theta at exponents [j-depth, j), as in _batch.CellGrid;
-    None at row 0."""
+    coefficients of theta at exponents [j-depth, j), as in _batch.CellGrid.
+    Row 0, theta = 0, gives the T^j record: Theta = diag(T^i, T^j) names the
+    order of [[T^i, 0], [T^j, T^j]] = diag(T^i, T^j) @ U for the unit
+    U = [[1, 0], [1, 1]], as Theta and Theta @ U name the same order."""
     q = spec.q
     codes = [row // q ** d % q for d in range(depth)]
     lo = next((d for d, c in enumerate(codes) if c), None)
-    if lo is None:
-        return None
-    return OrderRecord(family, spec.p, i, j, _laurent(spec, j - depth + lo, codes[lo:]))
+    theta = (RatFunc.pi_power(spec, j) if lo is None
+             else _laurent(spec, j - depth + lo, codes[lo:]))
+    return OrderRecord(family, spec.p, i, j, theta)
 
 
 # The most theta rows one (i, j) cell of a sweep may cover: q^depth.  The
@@ -361,33 +364,15 @@ def _sample_rows(n: int, spot: int, seed_parts) -> list[int]:
     return sorted(rows)
 
 
-def _disputed(orc, prd):
-    """The points a sweep reports, on verdict arrays or single verdicts: those
-    the oracle accepts when there is no predicate, else the disagreements."""
-    return orc if prd is None else orc != prd
-
-
-def _decide(rec: OrderRecord, pred_fn) -> tuple[OrderRecord, bool, bool | None]:
-    """One point on the object path: (record, oracle verdict, predicate verdict)."""
-    return rec, oracle_is_order(rec), None if pred_fn is None else pred_fn(rec)
-
-
 def _predicate_column(grid, family: Family, pred_fn, record):
-    """The predicate's verdict on every row of the grid (row 0 meaningless):
-    the shared closed form on the whole grid, a custom one row by row."""
+    """The predicate's verdict on every row of the grid: the shared closed form
+    on the whole grid, a custom one row by row."""
     form = {predicate: _closed_form, alpha_p2_loose_predicate: _loose_closed_form}.get(pred_fn)
     if form is None:
-        return [False] + [pred_fn(record(row)) for row in range(1, grid.n)]
+        return [pred_fn(record(row)) for row in range(grid.n)]
     import numpy as np
-    return np.broadcast_to(form(family, grid.p, grid.i, grid.j, grid.v_theta, grid.theta,
+    return np.broadcast_to(form(family, grid.p, grid.i, grid.j, grid.theta,
                                 lambda: grid.theta_p, grid.pi_power), grid.n)
-
-
-def _check_record_count(count: int) -> None:
-    """Refuse a sweep that would return `count` > MAX_RECORDS records."""
-    if count > MAX_RECORDS:
-        raise ValueError(f"the records of a sweep exceed the limit MAX_RECORDS = "
-                         f"{MAX_RECORDS}; pass a smaller depth or ranges (--depth, --i, --j)")
 
 
 def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
@@ -396,17 +381,18 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
     Validates the grid, each cell at most MAX_CELL_POINTS points, the whole
     at most MAX_SWEEP_POINTS points and MAX_SWEEP_CELLS cells, and
     (p+1) * max(|i|, |j|) at most MAX_DEGREE, then returns (family, depth,
-    i_values, j_values, total, found): `total` counts the points covered
-    (theta rows plus T^j per cell) and `found` holds (record, oracle,
-    predicate) for each point `_disputed` selects, cell by cell, in row order
-    with T^j last.  A cell whose records would take `found` past MAX_RECORDS
-    raises ValueError before it builds any of them.
+    i_values, j_values, total, found): `total` counts the points covered,
+    the q^depth grid rows of each cell, whose row 0 is the T^j record, and
+    `found` holds (record, oracle, predicate) for each point the oracle
+    accepts when pred_fn is None, else each disagreement, cell by cell, theta
+    rows ascending and T^j last.  A cell whose records would take `found`
+    past MAX_RECORDS raises ValueError before it builds any of them.
 
-    Every field runs the numpy kernel, and with checks = (limit, spot, tag)
-    the object path re-decides every row of a cell with at most `limit` rows,
-    else `spot` rows seeded by (family, p, i, j, depth, tag), plus every
-    disagreement when a predicate is checked; any difference raises
-    BatchMismatchError.
+    Every field runs the numpy kernel on every point, and with checks =
+    (limit, spot, tag) the object path re-decides every row of a cell with
+    at most `limit` rows, else row 0 and `spot` rows seeded by (family, p, i,
+    j, depth, tag), plus every disagreement when a predicate is checked; any
+    difference raises BatchMismatchError.
     """
     family = Family(family)
     if family not in RANK_P2_FAMILIES:
@@ -448,28 +434,30 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
         grid = _batch.CellGrid(spec, i, j, depth)
         orc = _batch.oracle_verdicts(grid, B)
         prd = None if pred_fn is None else _predicate_column(grid, family, pred_fn, record)
-        disputed = (_disputed(orc, prd)[1:].nonzero()[0] + 1).tolist()
-        _check_record_count(len(found) + len(disputed))
-        if grid.n - 1 <= limit:
-            rows = range(1, grid.n)
+        mask = orc if prd is None else orc != prd
+        # theta rows ascending, then row 0: a cell lists its T^j record last
+        disputed = (mask[1:].nonzero()[0] + 1).tolist() + ([0] if mask[0] else [])
+        if len(found) + len(disputed) > MAX_RECORDS:
+            raise ValueError(f"the records of a sweep exceed the limit MAX_RECORDS = "
+                             f"{MAX_RECORDS}; pass a smaller depth or ranges (--depth, --i, --j)")
+        if grid.n <= limit:
+            rows = range(grid.n)
         else:
-            rows = _sample_rows(grid.n, spot, (family.value, spec.p, i, j, depth, tag))
+            rows = [0] + _sample_rows(grid.n, spot, (family.value, spec.p, i, j, depth, tag))
         if prd is not None:
             rows = sorted(set(rows).union(disputed))
         decided = {}
         for row in rows:
-            rec, *verdicts = decided[row] = _decide(record(row), pred_fn)
+            rec = record(row)
+            verdicts = [oracle_is_order(rec), None if pred_fn is None else pred_fn(rec)]
             batch = [bool(orc[row]), None if prd is None else bool(prd[row])]
             if verdicts != batch:
                 raise BatchMismatchError(f"batch/object mismatch at {rec.to_json()}: (oracle, "
                                          f"predicate) = {verdicts} object, {batch} batch")
+            decided[row] = (rec, *verdicts)
         # with no predicate, a row not sampled is one the kernel's oracle accepts
         found += [decided.get(row) or (record(row), True, None) for row in disputed]
-        rec_pj = _decide(OrderRecord(family, spec.p, i, j, RatFunc.pi_power(spec, j)), pred_fn)
-        if _disputed(rec_pj[1], rec_pj[2]):
-            _check_record_count(len(found) + 1)
-            found.append(rec_pj)
-        total += spec.q ** depth
+        total += grid.n
     return family, depth, i_values, j_values, total, found
 
 

@@ -43,7 +43,7 @@ def test_full_grid_oracle_equivalence(spec, family):
             for j in (-2, 0, 1, 3):
                 grid = _batch.CellGrid(spec, i, j, depth)
                 fast = _batch.oracle_verdicts(grid, B_INTS[family])
-                for row in range(1, grid.n):
+                for row in range(grid.n):       # row 0, theta = 0, is the T^j record
                     rec = _record_from_row(family, spec, row, i, j, depth)
                     assert oracle_is_order(rec) == bool(fast[row]), rec.to_json()
 
@@ -52,7 +52,7 @@ def test_full_grid_oracle_equivalence(spec, family):
 @pytest.mark.parametrize("family", MATRIX_FAMILIES)
 def test_full_grid_predicate_twin_equivalence(spec, family):
     """Each closed form, run on a whole grid, gives the verdict it gives on
-    each row's record."""
+    each row's record, row 0 (theta = 0) included: that is the T^j record."""
     depth = 1 if spec is F25 else 3 if spec.q in (2, 4) else 2
     preds = [predicate] + ([alpha_p2_loose_predicate] if family is Family.ALPHA_P2 else [])
     for i in (-1, 0, 1, 4):
@@ -67,7 +67,7 @@ def test_full_grid_predicate_twin_equivalence(spec, family):
             for pred in preds:
                 column = families._predicate_column(grid, family, pred, record)
                 assert len(column) == grid.n
-                for row in range(1, grid.n):
+                for row in range(grid.n):
                     assert pred(record(row)) == bool(column[row]), record(row).to_json()
 
 
@@ -75,8 +75,8 @@ def test_grid_valuations_match_records():
     grid = _batch.CellGrid(F3, 0, 1, 3)
     for row in range(1, grid.n):
         rec = _record_from_row(Family.ALPHA_P_N, F3, row, 0, 1, 3)
-        assert rec.theta.val == int(grid.v_theta[row])
-    assert grid.v_theta[0] == _batch.BIG
+        assert rec.theta.val == int(grid.theta.val[row])
+    assert grid.theta.val[0] == _batch.BIG
 
 
 def test_enumerate_batch_matches_generic():
@@ -106,6 +106,17 @@ def test_extension_field_sweeps_agree():
         assert report.total == 3 * 2 * 4 ** 2
     report = oracle_check_family(Family.ZP_X_AP, F9, range(0, 2), range(-1, 2), depth=1)
     assert report.all_agree, report.summary()
+
+
+def test_sweeps_at_the_max_q_edge():
+    """Depth-1 cells over fields of MAX_Q size: code products near 2^32 keep
+    their int64 headroom, and the extension field's tables index right."""
+    report = oracle_check_family(Family.MONO_P2, FieldSpec(65521), [0], [0], depth=1)
+    assert report.all_agree and report.total == 65521
+    F2_16 = FieldSpec(2, 16, (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,))
+    for family in MATRIX_FAMILIES[1:]:
+        report = oracle_check_family(family, F2_16, [0], [0], depth=1)
+        assert report.all_agree and report.total == 2 ** 16, report.summary()
 
 
 def test_batch_rejects_unknown_family():

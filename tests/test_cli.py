@@ -436,19 +436,22 @@ def test_rank1_exponent_limit_exit_2(capsys):
     assert "MAX_DEGREE" in captured.err
 
 
-def test_batch_mismatch_exits_3(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["oracle-check", "enumerate"])
+@pytest.mark.parametrize("row", [1, 0])
+def test_batch_mismatch_exits_3(capsys, monkeypatch, command, row):
     """A kernel verdict that the object-level oracle contradicts is an
-    internal error: one line on stderr, exit 3, no traceback."""
+    internal error: one line on stderr, exit 3, no traceback.  Row 0 is the
+    T^j record, which every cell cross-checks."""
     from hopforders import _batch
     kernel = _batch.oracle_verdicts
 
     def flipped(grid, bint):
         verdicts = kernel(grid, bint).copy()
-        verdicts[1] = not verdicts[1]
+        verdicts[row] = not verdicts[row]
         return verdicts
 
     monkeypatch.setattr(_batch, "oracle_verdicts", flipped)
-    code = main(["oracle-check", "--family", "alpha_p2", "--field", "p=2",
+    code = main([command, "--family", "alpha_p2", "--field", "p=2",
                  "--i", "0", "--j", "0", "--depth", "3"])
     captured = capsys.readouterr()
     assert code == 3
