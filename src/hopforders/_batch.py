@@ -1,12 +1,12 @@
 """Vectorized exact sweeps over the (i, j, theta) grid, for every field F_q.
 
 Large enumerations evaluate the integrality condition at up to q^depth
-candidate thetas per (i, j) cell.  Running every point through the
-object-level matrix pipeline is far too slow in CPython, so this module
-performs the same computation batched: a `Laurent` scalar holds one int64
-column of F_q codes per exponent of T, one row per sweep point (a plain int
-stands for a constant column), and its operators run the field's code
-arithmetic on whole columns.  The 2x2 pipeline below is the generic
+candidate thetas per (i, j) cell, families.KERNEL_ROWS rows at a time.  The
+object-level matrix pipeline is far too slow for that in CPython, so this
+module performs the same computation batched: a `Laurent` scalar holds one
+int64 column of F_q codes per exponent of T, one row per sweep point (a
+plain int stands for a constant column), and its operators run the field's
+code arithmetic on whole columns.  The 2x2 pipeline below is the generic
 A = Theta^{-1} B Theta^(p) specialized to Theta = [[T^i, 0], [theta, T^j]]:
 
     det Theta = T^(i+j),  adj Theta = [[T^j, 0], [-theta, T^i]],
@@ -35,20 +35,19 @@ BIG = 1 << 40  # stand-in for +infinity in integer valuation arrays
 
 @functools.lru_cache(maxsize=16)
 def _arith(spec: FieldSpec):
-    """The field's code arithmetic on int64 columns: add, neg, mul, frob.
+    """The field's code arithmetic on int64 columns: add, neg, mul, frob, and p.
 
-    For k = 1 it is spec.arith itself, whose operations work on arrays as on
+    For k = 1 these are spec.arith's operations, which work on arrays as on
     ints.  For k > 1 multiplication and Frobenius look up numpy copies of the
     field's tables; addition is XOR for p = 2 and digit-wise mod p otherwise.
     """
     ar = spec.arith
+    out = SimpleNamespace(p=spec.p, add=ar.add, neg=ar.neg, mul=ar.mul, frob=ar.frob)
     if spec.k == 1:
-        return ar
+        return out
     log, exp = np.array(ar.log), np.array(ar.exp)
-    out = SimpleNamespace(
-        add=ar.add, neg=ar.neg,
-        mul=lambda x, y: np.where((x != 0) & (y != 0), exp[log[x] + log[y]], 0),
-        frob=np.array([ar.frob(c) for c in range(spec.q)]).__getitem__)
+    out.mul = lambda x, y: np.where((x != 0) & (y != 0), exp[log[x] + log[y]], 0)
+    out.frob = np.array([ar.frob(c) for c in range(spec.q)]).__getitem__
     if spec.p > 2:
         p, weights = spec.p, [spec.p ** t for t in range(spec.k)]
         out.add = lambda x, y: sum((x // w + y // w) % p * w for w in weights)
@@ -90,6 +89,11 @@ class Laurent:
             out[e] = add(out[e], prod) if e in out else prod
         return Laurent(self.ar, self.n, out)
 
+    def pth_power(self) -> "Laurent":
+        """The Frobenius twist: Frobenius on the coefficients, exponents scaled by p."""
+        ar = self.ar
+        return Laurent(ar, self.n, {ar.p * e: ar.frob(c) for e, c in self.terms.items()})
+
     @property
     def val(self) -> np.ndarray:
         """Per row, the least exponent with a nonzero coefficient; BIG if none."""
@@ -100,23 +104,20 @@ class Laurent:
 
 
 class CellGrid:
-    """All theta candidates supported on exponents [j-depth, j-1].
+    """The theta candidates of `rows`, a range inside [0, q^depth).
 
-    Row r of the grid encodes theta = sum_d c_d T^(j-depth+d), the c_d being
-    the base-q digits of r read as F_q codes; row 0 is theta = 0, whose order
-    is that of the T^j record.
+    Row r encodes theta = sum_d c_d T^(j-depth+d), the c_d being the base-q
+    digits of r read as F_q codes; row 0 is theta = 0, whose order is that of
+    the T^j record.  Entry k of each column is row rows[k].
     """
 
-    __slots__ = ("p", "i", "j", "depth", "n", "ar", "theta", "theta_p")
+    __slots__ = ("p", "i", "j", "n", "ar", "theta")
 
-    def __init__(self, spec: FieldSpec, i: int, j: int, depth: int):
-        q, n, ar = spec.q, spec.q ** depth, _arith(spec)
-        base = np.arange(n, dtype=np.int64)
-        self.p, self.i, self.j, self.depth, self.n, self.ar = spec.p, i, j, depth, n, ar
+    def __init__(self, spec: FieldSpec, i: int, j: int, depth: int, rows: range):
+        q, n, ar = spec.q, len(rows), _arith(spec)
+        base = np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
+        self.p, self.i, self.j, self.n, self.ar = spec.p, i, j, n, ar
         self.theta = Laurent(ar, n, {j - depth + d: base // q ** d % q for d in range(depth)})
-        # theta^(p): Frobenius on the coefficients, exponents scaled by p
-        self.theta_p = Laurent(ar, n, {self.p * e: ar.frob(c)
-                                       for e, c in self.theta.terms.items()})
 
     def pi_power(self, e: int) -> Laurent:
         """T^e on every row."""
@@ -129,7 +130,7 @@ def oracle_verdicts(grid: CellGrid, b01) -> np.ndarray:
     p, i, j = grid.p, grid.i, grid.j
     T, zero = grid.pi_power, Laurent(grid.ar, grid.n, {})
     adj = [[T(j), zero], [-grid.theta, T(i)]]
-    twist = [[T(p * i), zero], [grid.theta_p, T(p * j)]]
+    twist = [[T(p * i), zero], [grid.theta.pth_power(), T(p * j)]]
     bm = [[T(0) if b else zero for b in row] for row in b01]
     numerator = _matmul(adj, _matmul(bm, twist, zero), zero)
     cut = i + j  # dividing by det = T^(i+j)

@@ -192,18 +192,18 @@ def oracle_is_order(record: OrderRecord) -> bool:
     return _witness(record) is None
 
 
-def _closed_form(family, p, i, j, theta, twist, T):
-    """The closed form of `family`, with twist() = theta^(p) and T(e) = T^e.
-    Conditions combine with `&`, so the same text runs on a record (RatFunc
-    theta, int v) and on a sweep grid (Laurent theta, array v)."""
+def _closed_form(family, p, i, j, theta, T):
+    """The closed form of `family`, with T(e) = T^e.  Conditions combine with
+    `&`, so the same text runs on a record (RatFunc theta, int v) and on a
+    sweep grid (Laurent theta, array v)."""
     if family is Family.ALPHA_P_N:
         return True
-    v = theta.val
+    v, twist = theta.val, theta.pth_power       # twist() = theta^(p)
     if family is Family.ALPHA_P2:
         return (p * j >= i) & (p * v >= i) & ((p + 1) * v >= i + j)
     if family is Family.ZP_X_AP:
         return (i >= 0) & (v >= j - (p - 1) * i)
-    # below, a record whose bounds fail skips the valuation: its T-power may be long
+    # below, a record whose bounds fail skips the twist and valuation: its T-power may be long
     if family is Family.ZP_SQUARED:
         bounds = (i >= 0) & (j >= 0)
         return bounds is not False and bounds & ((twist() - T((p - 1) * i) * theta).val >= j)
@@ -213,7 +213,7 @@ def _closed_form(family, p, i, j, theta, twist, T):
     raise ValueError(f"no rank-p^2 predicate for family {family}")
 
 
-def _loose_closed_form(family, p, i, j, theta, twist, T):
+def _loose_closed_form(family, p, i, j, theta, T):
     """The loose alpha_p2 bound, called like _closed_form."""
     if family is not Family.ALPHA_P2:
         raise ValueError("loose bound applies to the alpha_p2 family only")
@@ -223,7 +223,7 @@ def _loose_closed_form(family, p, i, j, theta, twist, T):
 def _at_record(form, record: OrderRecord) -> bool:
     th = record.theta
     return form(record.family, record.p, record.i, record.j, th,
-                th.pth_power, functools.partial(RatFunc.pi_power, th.spec))
+                functools.partial(RatFunc.pi_power, th.spec))
 
 
 def predicate(record: OrderRecord) -> bool:
@@ -275,11 +275,11 @@ def _record_from_row(family: Family, spec: FieldSpec,
     return OrderRecord(family, spec.p, i, j, theta)
 
 
-# The most theta rows one (i, j) cell of a sweep may cover: q^depth.  The
-# kernel holds a whole cell in memory at once.
-MAX_CELL_POINTS = 2 ** 20
+# The rows of one block of a cell that the kernel decides at once, so that
+# memory does not grow with the depth.
+KERNEL_ROWS = 2 ** 12
 # The most points a whole sweep may cover: len(i) * len(j) * q^depth, which
-# bounds its time.
+# bounds its time, and so the q^depth points of one cell too.
 MAX_SWEEP_POINTS = 2 ** 24
 # The most (i, j) cells a whole sweep may cover: len(i) * len(j), as each cell
 # costs a kernel pass whatever its size.  MAX_DEGREE bounds (p+1) * max(|i|, |j|),
@@ -298,7 +298,7 @@ ENUM_SPOT_CHECKS = 16
 
 def default_depth(p: int) -> int:
     """Sweep depth exercising every closed-form bound on both sides; for
-    p >= 5 it exceeds MAX_CELL_POINTS, so those sweeps need an explicit depth."""
+    p >= 5 a cell at it exceeds MAX_SWEEP_POINTS, so those sweeps need an explicit depth."""
     return 2 * (p + 2)
 
 
@@ -364,35 +364,31 @@ def _sample_rows(n: int, spot: int, seed_parts) -> list[int]:
     return sorted(rows)
 
 
-def _predicate_column(grid, family: Family, pred_fn, record):
-    """The predicate's verdict on every row of the grid: the shared closed form
-    on the whole grid, a custom one row by row."""
-    form = {predicate: _closed_form, alpha_p2_loose_predicate: _loose_closed_form}.get(pred_fn)
-    if form is None:
-        return [pred_fn(record(row)) for row in range(grid.n)]
+def _predicate_column(grid, family: Family, form):
+    """The verdict of the closed form `form` on every row of the grid."""
     import numpy as np
-    return np.broadcast_to(form(family, grid.p, grid.i, grid.j, grid.theta,
-                                lambda: grid.theta_p, grid.pi_power), grid.n)
+    return np.broadcast_to(form(family, grid.p, grid.i, grid.j, grid.theta, grid.pi_power),
+                           grid.n)
 
 
-def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
+def _sweep(family, spec, i_range, j_range, depth, form, checks):
     """The one pass over the (i, j, theta) grid behind both public sweeps.
 
-    Validates the grid, each cell at most MAX_CELL_POINTS points, the whole
-    at most MAX_SWEEP_POINTS points and MAX_SWEEP_CELLS cells, and
-    (p+1) * max(|i|, |j|) at most MAX_DEGREE, then returns (family, depth,
-    i_values, j_values, total, found): `total` counts the points covered,
-    the q^depth grid rows of each cell, whose row 0 is the T^j record, and
-    `found` holds (record, oracle, predicate) for each point the oracle
-    accepts when pred_fn is None, else each disagreement, cell by cell, theta
-    rows ascending and T^j last.  A cell whose records would take `found`
-    past MAX_RECORDS raises ValueError before it builds any of them.
+    Validates the grid, at most MAX_SWEEP_POINTS points and MAX_SWEEP_CELLS
+    cells, and (p+1) * max(|i|, |j|) at most MAX_DEGREE, then returns (family,
+    depth, i_values, j_values, total, found): `total` counts the points
+    covered, the q^depth grid rows of each cell, whose row 0 is the T^j
+    record, and `found` holds (record, oracle, predicate) for each point the
+    oracle accepts when the closed form `form` is None, else each
+    disagreement, cell by cell, theta rows ascending and T^j last.  A cell
+    whose records would take `found` past MAX_RECORDS raises ValueError
+    before it builds any of them.
 
-    Every field runs the numpy kernel on every point, and with checks =
-    (limit, spot, tag) the object path re-decides every row of a cell with
-    at most `limit` rows, else row 0 and `spot` rows seeded by (family, p, i,
-    j, depth, tag), plus every disagreement when a predicate is checked; any
-    difference raises BatchMismatchError.
+    Every field runs the numpy kernel on every point, KERNEL_ROWS rows at a
+    time, and with checks = (limit, spot, tag) the object path re-decides
+    every row of a cell with at most `limit` rows, else row 0 and `spot` rows
+    seeded by (family, p, i, j, depth, tag), plus every disagreement when a
+    closed form is checked; any difference raises BatchMismatchError.
     """
     family = Family(family)
     if family not in RANK_P2_FAMILIES:
@@ -401,17 +397,15 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
         depth = default_depth(spec.p)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth > MAX_CELL_POINTS.bit_length() or spec.q ** depth > MAX_CELL_POINTS:
-        raise ValueError(f"a cell of q^depth = {spec.q}^{depth} points exceeds the limit "
-                         f"MAX_CELL_POINTS = {MAX_CELL_POINTS}; pass a smaller depth (--depth)")
     i_range, j_range = (r if hasattr(r, "__len__") else tuple(r) for r in (i_range, j_range))
-    try:
-        points = len(i_range) * len(j_range) * spec.q ** depth
+    try:            # past q^25 the limit is passed anyway: a huge depth builds no huge int
+        points = len(i_range) * len(j_range) * spec.q ** min(depth, MAX_SWEEP_POINTS.bit_length())
     except OverflowError:           # a range of more than sys.maxsize values
         points = MAX_SWEEP_POINTS + 1
     if points > MAX_SWEEP_POINTS:
         raise ValueError(f"a sweep of len(i) * len(j) * q^depth points exceeds the limit "
-                         f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}; pass smaller ranges (--i, --j)")
+                         f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}; pass a smaller depth or "
+                         f"ranges (--depth, --i, --j)")
     i_values = _values("i", i_range)
     j_values = _values("j", j_range)
     if len(i_range) * len(j_range) > MAX_SWEEP_CELLS:
@@ -422,8 +416,9 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
     if degree > MAX_DEGREE:
         raise ValueError(f"(p+1) * max(|i|, |j|) = {degree} exceeds the limit "
                          f"MAX_DEGREE = {MAX_DEGREE}; pass smaller exponents (--i, --j)")
-    from . import _batch            # numpy loads with the first sweep
-    B = family_matrix(family, spec, 2).rows
+    import numpy as np              # numpy loads with the first sweep
+    from . import _batch
+    B, n = family_matrix(family, spec, 2).rows, spec.q ** depth
     limit, spot, tag = checks
     total = 0
     found: list[tuple[OrderRecord, bool, bool | None]] = []
@@ -431,25 +426,28 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
         if family is Family.ZP_SQUARED and (i < 0 or j < 0):
             continue  # this family's predicate requires i, j >= 0
         record = functools.partial(_record_from_row, family, spec, i=i, j=j, depth=depth)
-        grid = _batch.CellGrid(spec, i, j, depth)
-        orc = _batch.oracle_verdicts(grid, B)
-        prd = None if pred_fn is None else _predicate_column(grid, family, pred_fn, record)
+        orc, prd = np.empty(n, bool), None if form is None else np.empty(n, bool)
+        for start in range(0, n, KERNEL_ROWS):
+            grid = _batch.CellGrid(spec, i, j, depth, range(start, min(start + KERNEL_ROWS, n)))
+            orc[start:start + grid.n] = _batch.oracle_verdicts(grid, B)
+            if prd is not None:
+                prd[start:start + grid.n] = _predicate_column(grid, family, form)
         mask = orc if prd is None else orc != prd
-        # theta rows ascending, then row 0: a cell lists its T^j record last
-        disputed = (mask[1:].nonzero()[0] + 1).tolist() + ([0] if mask[0] else [])
-        if len(found) + len(disputed) > MAX_RECORDS:
+        if len(found) + np.count_nonzero(mask) > MAX_RECORDS:
             raise ValueError(f"the records of a sweep exceed the limit MAX_RECORDS = "
                              f"{MAX_RECORDS}; pass a smaller depth or ranges (--depth, --i, --j)")
-        if grid.n <= limit:
-            rows = range(grid.n)
+        # theta rows ascending, then row 0: a cell lists its T^j record last
+        disputed = (mask[1:].nonzero()[0] + 1).tolist() + ([0] if mask[0] else [])
+        if n <= limit:
+            rows = range(n)
         else:
-            rows = [0] + _sample_rows(grid.n, spot, (family.value, spec.p, i, j, depth, tag))
+            rows = [0] + _sample_rows(n, spot, (family.value, spec.p, i, j, depth, tag))
         if prd is not None:
             rows = sorted(set(rows).union(disputed))
         decided = {}
         for row in rows:
             rec = record(row)
-            verdicts = [oracle_is_order(rec), None if pred_fn is None else pred_fn(rec)]
+            verdicts = [oracle_is_order(rec), None if form is None else _at_record(form, rec)]
             batch = [bool(orc[row]), None if prd is None else bool(prd[row])]
             if verdicts != batch:
                 raise BatchMismatchError(f"batch/object mismatch at {rec.to_json()}: (oracle, "
@@ -457,7 +455,7 @@ def _sweep(family, spec, i_range, j_range, depth, pred_fn, checks):
             decided[row] = (rec, *verdicts)
         # with no predicate, a row not sampled is one the kernel's oracle accepts
         found += [decided.get(row) or (record(row), True, None) for row in disputed]
-        total += grid.n
+        total += n
     return family, depth, i_values, j_values, total, found
 
 
@@ -472,13 +470,14 @@ def oracle_check_family(family: Family, spec: FieldSpec,
     object-level oracle/predicate exhaustively when a cell has at most
     EXHAUSTIVE_LIMIT points and on SPOT_CHECKS seeded samples otherwise;
     every disagreement is confirmed on the object path and a mismatch raises
-    BatchMismatchError.  A custom predicate_fn is evaluated per point (meant
-    for small grids).
+    BatchMismatchError.  predicate_fn is None or `predicate` (the closed
+    forms) or `alpha_p2_loose_predicate`; any other raises ValueError.
     """
+    if predicate_fn not in (None, predicate, alpha_p2_loose_predicate):
+        raise ValueError("predicate_fn must be None, predicate or alpha_p2_loose_predicate")
+    form = _loose_closed_form if predicate_fn is alpha_p2_loose_predicate else _closed_form
     family, depth, i_values, j_values, total, found = _sweep(
-        family, spec, i_range, j_range, depth,
-        predicate_fn if predicate_fn is not None else predicate,
-        (EXHAUSTIVE_LIMIT, SPOT_CHECKS, "chk"))
+        family, spec, i_range, j_range, depth, form, (EXHAUSTIVE_LIMIT, SPOT_CHECKS, "chk"))
     disagreements = tuple(Disagreement(rec, g_prd, g_orc, None if g_orc else _witness(rec))
                           for rec, g_orc, g_prd in found)
     return AgreementReport(family, spec.p, depth, i_values, j_values,

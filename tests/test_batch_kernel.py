@@ -6,10 +6,14 @@ implementations of the oracle computation fails loudly here (beyond the
 in-run cross-checks the sweep already performs).
 """
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hopforders import _batch, families
+from hopforders.cli import main
 from hopforders.families import (Family, OrderRecord, _record_from_row,
                                  alpha_p2_loose_predicate, enumerate_orders,
                                  oracle_check_family, oracle_is_order, predicate)
@@ -21,6 +25,9 @@ F7 = FieldSpec(7)
 
 MATRIX_FAMILIES = [Family.ALPHA_P_N, Family.ALPHA_P2, Family.ZP_X_AP,
                    Family.ZP_SQUARED, Family.MONO_P2]
+
+FORMS = {predicate: families._closed_form,
+         alpha_p2_loose_predicate: families._loose_closed_form}
 
 B_INTS = {
     Family.ALPHA_P_N: [[0, 0], [0, 0]],
@@ -41,7 +48,7 @@ def test_full_grid_oracle_equivalence(spec, family):
     for depth, i_values in cases:
         for i in i_values:
             for j in (-2, 0, 1, 3):
-                grid = _batch.CellGrid(spec, i, j, depth)
+                grid = _batch.CellGrid(spec, i, j, depth, range(spec.q ** depth))
                 fast = _batch.oracle_verdicts(grid, B_INTS[family])
                 for row in range(grid.n):       # row 0, theta = 0, is the T^j record
                     rec = _record_from_row(family, spec, row, i, j, depth)
@@ -59,20 +66,76 @@ def test_full_grid_predicate_twin_equivalence(spec, family):
         for j in (-2, 0, 2):
             if family is Family.ZP_SQUARED and (i < 0 or j < 0):
                 continue
-            grid = _batch.CellGrid(spec, i, j, depth)
+            grid = _batch.CellGrid(spec, i, j, depth, range(spec.q ** depth))
 
             def record(row):
                 return _record_from_row(family, spec, row, i, j, depth)
 
             for pred in preds:
-                column = families._predicate_column(grid, family, pred, record)
+                column = families._predicate_column(grid, family, FORMS[pred])
                 assert len(column) == grid.n
                 for row in range(grid.n):
                     assert pred(record(row)) == bool(column[row]), record(row).to_json()
 
 
+@pytest.mark.parametrize("spec, depth", [(F3, 8), (F2, 13)])
+@pytest.mark.parametrize("family", MATRIX_FAMILIES)
+def test_blocks_across_a_boundary_match_one_grid(spec, depth, family):
+    """A cell decided in blocks of KERNEL_ROWS rows, the last one partial
+    over F_3 (3^8 = 6561 rows), gives the verdicts of one grid of all its
+    rows; the oracle agrees on each side of the block boundary, and the
+    closed form's blocks agree with `predicate` on every row."""
+    n, size, i, j = spec.q ** depth, families.KERNEL_ROWS, 2, 2
+    blocks = [_batch.CellGrid(spec, i, j, depth, range(s, min(s + size, n)))
+              for s in range(0, n, size)]
+    assert size == 4096 and len(blocks) == 2 and blocks[-1].n == n - size
+    B = B_INTS[family]
+    whole = _batch.oracle_verdicts(_batch.CellGrid(spec, i, j, depth, range(n)), B)
+    fast = np.concatenate([_batch.oracle_verdicts(g, B) for g in blocks])
+    assert np.array_equal(fast, whole)
+
+    def record(row):
+        return _record_from_row(family, spec, row, i, j, depth)
+
+    for row in (0, size - 1, size, n - 1):
+        assert oracle_is_order(record(row)) == bool(fast[row]), record(row).to_json()
+    column = np.concatenate([families._predicate_column(g, family, families._closed_form)
+                             for g in blocks])
+    assert [predicate(record(row)) for row in range(n)] == column.tolist()
+
+
+# SHA-256 of the --json stdout of mono_p2 over F_3 at i, j in -1..1 and depth
+# 9: 3^9 = 19683 rows per cell, five blocks, the last one partial
+BLOCK_DIGESTS = {
+    "oracle-check": "6a6c062812720cf9d37bb9acc085038fdd85a65b347f567c2d2cfcd452317acf",
+    "enumerate": "a4ac9cbd0d7a09caa06254b9bc86e4135457acb14405c200afd8eb0ea61b9759",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BLOCK_DIGESTS))
+def test_multi_block_sweep_json_bytes_are_pinned(command, capsys):
+    assert main([command, "--family", "mono_p2", "--field", "p=3",
+                 "--i=-1..1", "--j=-1..1", "--depth", "9", "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == BLOCK_DIGESTS[command]
+
+
+def test_sweep_memory_does_not_grow_with_depth():
+    """A cell of 2^16 rows is decided in blocks: after a warm-up sweep, the
+    peak of traced allocations stays far below what the whole cell's columns
+    and products would take."""
+    enumerate_orders(Family.MONO_P2, F2, [1], [1], depth=4)
+    tracemalloc.start()
+    try:
+        enumerate_orders(Family.MONO_P2, F2, [1], [1], depth=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+
+
 def test_grid_valuations_match_records():
-    grid = _batch.CellGrid(F3, 0, 1, 3)
+    grid = _batch.CellGrid(F3, 0, 1, 3, range(27))
     for row in range(1, grid.n):
         rec = _record_from_row(Family.ALPHA_P_N, F3, row, 0, 1, 3)
         assert rec.theta.val == int(grid.theta.val[row])
@@ -120,9 +183,9 @@ def test_sweeps_at_the_max_q_edge():
 
 
 def test_batch_rejects_unknown_family():
-    grid = _batch.CellGrid(F2, 0, 0, 2)
+    grid = _batch.CellGrid(F2, 0, 0, 2, range(4))
     with pytest.raises(ValueError):
-        families._predicate_column(grid, Family.RANK1_LOCAL, predicate, None)
+        families._predicate_column(grid, Family.RANK1_LOCAL, families._closed_form)
 
 
 def _count_calls(monkeypatch, owner, name, fn=None):

@@ -397,9 +397,10 @@ def test_resource_limits_exit_2(capsys):
         (["check", "--field", "p=1000000000000000003", "--B", "[0]", "--theta", "[1]"], "MAX_Q"),
         (["fibre", "--field", "p=2;k=40;mod=a^40+a^5+a^4+a^3+1", "--A", "[1]"], "MAX_Q"),
         (["enumerate", "--family", "alpha_p2", "--field", "p=5", "--i", "0", "--j", "0"],
-         "MAX_CELL_POINTS"),
+         "MAX_SWEEP_POINTS = 16777216; pass a smaller depth or ranges (--depth, --i, --j)"),
         (["oracle-check", "--family", "mono_p2", "--field", "p=2", "--i", "0", "--j", "0",
-          "--depth", "21"], "MAX_CELL_POINTS"),
+          "--depth", "25"],
+         "MAX_SWEEP_POINTS = 16777216; pass a smaller depth or ranges (--depth, --i, --j)"),
         (["enumerate", "--family", "alpha_p2", "--field", "p=2", "--i", "0..1000000000",
           "--j", "0..0", "--depth", "1"], "MAX_SWEEP_POINTS"),
         (["enumerate", "--family", "alpha_p2", "--field", "p=2", "--i", "1000000000",

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hopforders.families import (MAX_CELL_POINTS, MAX_SWEEP_CELLS, MAX_SWEEP_POINTS,
+from hopforders.families import (MAX_SWEEP_CELLS, MAX_SWEEP_POINTS,
                                  RANK_P2_FAMILIES, Family, OrderRecord, _record_from_row,
                                  _witness, alpha_p2_loose_predicate, canonical_theta,
                                  default_depth, enumerate_orders, family_matrix,
@@ -251,15 +251,16 @@ def test_agreement_report_json_is_pinned():
             "witness": {"row": 2, "col": 1, "valuation": -1, "entry": "1/T"}}]}
 
 
-def test_custom_predicate_runs_per_point_with_the_same_report():
-    """A predicate_fn that is not one of the closed forms runs record by
-    record and reports what the closed form reports on the grid."""
-    args = (Family.ALPHA_P2, F3, range(-1, 3), range(-1, 3))
-    per_point = oracle_check_family(*args, depth=2,
-                                    predicate_fn=lambda r: alpha_p2_loose_predicate(r))
-    assert not per_point.all_agree
-    assert per_point == oracle_check_family(*args, depth=2,
-                                            predicate_fn=alpha_p2_loose_predicate)
+def test_only_the_closed_forms_are_checked(monkeypatch):
+    """predicate_fn names one of the closed forms; any other callable, even
+    one wrapping a closed form, is refused before a grid is built."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr("hopforders._batch.CellGrid", forbidden)
+    with pytest.raises(ValueError, match="predicate_fn"):
+        oracle_check_family(Family.ALPHA_P2, F3, range(-1, 3), range(-1, 3), depth=2,
+                            predicate_fn=lambda r: alpha_p2_loose_predicate(r))
 
 
 # -- enumeration --
@@ -383,27 +384,11 @@ def test_family_matrix_shared_per_family_and_spec():
     assert family_matrix(Family.MONO_P2, F3) is not family_matrix(Family.MONO_P2, F2)
 
 
-def test_sweep_cell_limit_refuses_before_any_work(monkeypatch):
-    """A cell of more than MAX_CELL_POINTS points is refused up front: no
-    grid and no record is built.  Only cells past the limit are run here."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a cell was built past the limit")
-
-    monkeypatch.setattr("hopforders._batch.CellGrid", forbidden)
-    monkeypatch.setattr("hopforders.families._record_from_row", forbidden)
-    assert 2 ** 20 == MAX_CELL_POINTS
-    assert 5 ** default_depth(5) > MAX_CELL_POINTS
-    for spec, depth in ((F2, 21), (F4, 11), (F2, 10 ** 9), (F5, None)):
-        for sweep in (enumerate_orders, oracle_check_family):
-            with pytest.raises(ValueError, match="MAX_CELL_POINTS.*depth"):
-                sweep(Family.ALPHA_P2, spec, [0], [0], depth=depth)
-
-
 def test_sweep_size_limit_refuses_before_any_work(monkeypatch):
-    """A sweep of more than MAX_SWEEP_POINTS points in all is refused up
-    front, from the ranges' lengths: no grid, no record and no value set is
-    built, so a range of 10^9 values or more than sys.maxsize values costs
-    nothing."""
+    """A sweep of more than MAX_SWEEP_POINTS points in all, one cell
+    included, is refused up front, from the ranges' lengths: no grid, no
+    record and no value set is built, so a range of 10^9 values or more than
+    sys.maxsize values, or a depth of 10^9, costs nothing."""
     def forbidden(*args, **kwargs):
         raise AssertionError("work was done past the limit")
 
@@ -411,14 +396,17 @@ def test_sweep_size_limit_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr("hopforders.families._record_from_row", forbidden)
     monkeypatch.setattr("hopforders.families._values", forbidden)
     assert 2 ** 24 == MAX_SWEEP_POINTS
+    assert 5 ** default_depth(5) > MAX_SWEEP_POINTS
     for spec, i_range, j_range, depth in (
+            (F2, [0], [0], 10 ** 9),
+            (F5, [0], [0], None),                        # the default depth
             (F2, range(10 ** 7), [0], 1),                # 2 * 10^7 points
             (F2, range(10 ** 9 + 1), [0], 1),
             (F3, range(2 ** 70), range(2 ** 70), 1),
             (F2, range(2 ** 4 + 1), [0], 20),            # 17 cells of 2^20 points
             (F4, range(16), range(17), 8)):
         for sweep in (enumerate_orders, oracle_check_family):
-            with pytest.raises(ValueError, match="MAX_SWEEP_POINTS"):
+            with pytest.raises(ValueError, match="MAX_SWEEP_POINTS.*--depth"):
                 sweep(Family.ALPHA_P2, spec, i_range, j_range, depth=depth)
 
 
