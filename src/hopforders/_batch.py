@@ -6,8 +6,9 @@ object-level matrix pipeline is far too slow for that in CPython, so this
 module performs the same computation batched: a `Laurent` scalar holds one
 int64 column of F_q codes per exponent of T, one row per sweep point (a
 plain int stands for a constant column), and its operators run the field's
-code arithmetic on whole columns.  The 2x2 pipeline below is the generic
-A = Theta^{-1} B Theta^(p) specialized to Theta = [[T^i, 0], [theta, T^j]]:
+one code arithmetic, `FieldSpec.arith`, on whole columns.  The 2x2 pipeline
+below is the generic A = Theta^{-1} B Theta^(p) specialized to
+Theta = [[T^i, 0], [theta, T^j]]:
 
     det Theta = T^(i+j),  adj Theta = [[T^j, 0], [-theta, T^i]],
     A integral  <=>  adj(Theta) @ B @ Theta^(p) has no coefficient below T^(i+j).
@@ -23,36 +24,24 @@ from __future__ import annotations
 
 import functools
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 
-from .fields import FieldSpec
+from .fields import FieldSpec, _Arith
 from .matrix import _matmul
 
 BIG = 1 << 40  # stand-in for +infinity in integer valuation arrays
 
 
 @functools.lru_cache(maxsize=16)
-def _arith(spec: FieldSpec):
-    """The field's code arithmetic on int64 columns: add, neg, mul, frob, and p.
-
-    For k = 1 these are spec.arith's operations, which work on arrays as on
-    ints.  For k > 1 multiplication and Frobenius look up numpy copies of the
-    field's tables; addition is XOR for p = 2 and digit-wise mod p otherwise.
-    """
+def _arith(spec: FieldSpec) -> _Arith:
+    """spec.arith, running on int64 columns: for k > 1 over numpy copies of
+    the field's log, exp and Frobenius tables."""
     ar = spec.arith
-    out = SimpleNamespace(p=spec.p, add=ar.add, neg=ar.neg, mul=ar.mul, frob=ar.frob)
     if spec.k == 1:
-        return out
-    log, exp = np.array(ar.log), np.array(ar.exp)
-    out.mul = lambda x, y: np.where((x != 0) & (y != 0), exp[log[x] + log[y]], 0)
-    out.frob = np.array([ar.frob(c) for c in range(spec.q)]).__getitem__
-    if spec.p > 2:
-        p, weights = spec.p, [spec.p ** t for t in range(spec.k)]
-        out.add = lambda x, y: sum((x // w + y // w) % p * w for w in weights)
-        out.neg = lambda x: sum(-(x // w) % p * w for w in weights)
-    return out
+        return ar
+    frobs = list(map(ar.frob, range(spec.q)))
+    return _Arith(spec.p, spec.k, None, tuple(map(np.array, (ar.log, ar.exp, frobs))))
 
 
 class Laurent:

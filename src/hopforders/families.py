@@ -523,9 +523,9 @@ def rank1_orders(b: RatFunc, i: int) -> Rank1Result:
 
     For b = 0 (the local case) every integer i works.  Otherwise b is first
     normalized by t -> T^s t so that 0 <= v(b) <= p-2, after which exactly
-    the i >= 0 pass; either way the verdict is the 1x1 integrality test
-    a = b * theta^(p-1) in R with theta = T^i.  |(p-1) i| may not exceed
-    MAX_DEGREE, the degree bound of the parser.
+    the i >= 0 pass; either way the verdict is the 1x1 integrality test of
+    orders._twisted_quotient, a = b * theta^(p-1) in R with theta = T^i.
+    |(p-1) i| may not exceed MAX_DEGREE, the degree bound of the parser.
     """
     spec = b.spec
     p = spec.p
@@ -537,12 +537,13 @@ def rank1_orders(b: RatFunc, i: int) -> Rank1Result:
     else:
         s = -(int(b.val) // (p - 1))
         b_norm = b * RatFunc.pi_power(spec, (p - 1) * s)
-    a = b_norm * RatFunc.pi_power(spec, (p - 1) * i)
-    ok = a.val >= 0
-    gen = _term(RatFunc.pi_power(spec, i), "t")
+    theta = RatFunc.pi_power(spec, i)
+    N, D, witness = _twisted_quotient(Mat([[b_norm]]), Mat([[theta]]))
+    a = RatFunc(N[0][0], D)
+    gen = _term(theta, "t")
     a_str = str(a)
     if " + " in a_str or "/" in a_str:
         a_str = f"({a_str})"
     relation = f"u^{p} = {a_str}*u"
     description = f"H_{i} = R[u], u = {gen}, {relation}"
-    return Rank1Result(bool(ok), i, b, b_norm, a, relation, description)
+    return Rank1Result(witness is None, i, b, b_norm, a, relation, description)

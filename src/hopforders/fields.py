@@ -9,9 +9,10 @@ where d_0 + d_1 a + ... + d_{k-1} a^(k-1) is its power-basis form; 0 is zero,
 1 is one, and over F_p the code is the residue.  `FieldSpec.arith` holds the
 code arithmetic: plain ints mod p for k = 1; for k > 1 log/antilog tables to
 a primitive element, built once on first use, serve multiplication, inverse
-and Frobenius, addition is XOR for p = 2 and goes through a Zech-log table
-for odd p.  Every table has O(q) entries.  :class:`FqElem` is the immutable
-element at the API edge; its operations run on the same code arithmetic.
+and Frobenius, and addition is XOR for p = 2 and digit-wise mod p for odd p.
+Every table has O(q) entries.  The same operations run on int codes and on
+the sweep kernel's numpy columns.  :class:`FqElem` is the immutable element
+at the API edge; its operations run on the same code arithmetic.
 
 The Frobenius map x -> x^p lives here; it is the coefficient-level piece of
 the entry-wise twist applied to matrices over K.
@@ -74,14 +75,45 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+def _tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[list, list, list]:
+    """(log, exp, frobs) of F_q, k > 1, to the smallest code g of
+    multiplicative order n = q - 1: exp[i] = g^i for i < 2n, so a sum of two
+    logs needs no mod; log[0] = 2n and exp is zero from 2n to 4n, so a
+    product through zero is zero; frobs[x] = x^p."""
+    from .ratfunc import Poly
+    q = p ** k
+    n = q - 1
+    fp = FieldSpec(p)
+    m = Poly._raw(fp, modulus)
+    weights = [p ** t for t in range(k)]
+
+    def poly(c):
+        return Poly.from_ints(fp, [c // w for w in weights])
+
+    factors = _prime_factors(n)
+    g = poly(next(c for c in range(2, q)
+                  if not any(pow(poly(c), n // r, m).is_one() for r in factors)))
+    log = [2 * n] * q
+    exp = [0] * (4 * n + 1)
+    cur = Poly.one(fp)
+    for i in range(n):
+        c = sum(d * w for d, w in zip(cur.codes, weights))
+        exp[i] = exp[i + n] = c
+        log[c] = i
+        cur = cur * g % m
+    return log, exp, [0] + [exp[log[x] * p % n] for x in range(1, q)]
+
+
 class _Arith:
     """Code arithmetic of one field: add, sub, neg, mul, inv, frob (x -> x^p)
-    and pow (x, e >= 0), each on int codes.  Zero has no inverse: callers
-    check first."""
+    and pow (x, e >= 0).  add, sub, neg, mul, frob and, for k > 1, inv run
+    alike on int codes and on numpy int64 columns of codes, given numpy
+    `tables` (see _tables).  Zero has no inverse: callers check first."""
 
-    __slots__ = ("add", "sub", "neg", "mul", "inv", "frob", "pow", "log", "exp")
+    __slots__ = ("p", "add", "sub", "neg", "mul", "inv", "frob", "pow", "log", "exp")
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None, tables=None):
+        self.p = p
         if k == 1:
             self.log = self.exp = None
             self.add = lambda x, y: (x + y) % p
@@ -92,70 +124,20 @@ class _Arith:
             self.frob = lambda x: x
             self.pow = lambda x, e: pow(x, e, p)
         else:
-            self._tables(p, k, modulus)
+            log, exp, frobs = tables or _tables(p, k, modulus)
+            n = p ** k - 1
+            self.log, self.exp = log, exp
+            self.mul = lambda x, y: exp[log[x] + log[y]]
+            self.inv = lambda x: exp[n - log[x]]
+            self.frob = frobs.__getitem__
+            self.pow = lambda x, e: exp[log[x] * e % n] if x else (0 if e else 1)
+            weights = [p ** t for t in range(k)]       # odd p: digit by digit mod p
+            self.add = lambda x, y: sum((x // w + y // w) % p * w for w in weights)
+            self.sub = lambda x, y: sum((x // w - y // w) % p * w for w in weights)
+            self.neg = lambda x: sum(-(x // w) % p * w for w in weights)
         if p == 2:                      # codes are bit vectors
             self.add = self.sub = operator.xor
             self.neg = lambda x: x
-
-    def _tables(self, p: int, k: int, modulus: tuple[int, ...]) -> None:
-        from .ratfunc import Poly
-        q = p ** k
-        n = q - 1
-        fp = FieldSpec(p)
-        m = Poly._raw(fp, modulus)
-        weights = [p ** t for t in range(k)]
-
-        def poly(c):
-            return Poly.from_ints(fp, [c // w for w in weights])
-
-        # the smallest code of multiplicative order n generates the tables
-        factors = _prime_factors(n)
-        g = poly(next(c for c in range(2, q)
-                      if not any(pow(poly(c), n // r, m).is_one() for r in factors)))
-        log = [0] * q
-        exp = [0] * (2 * n)          # doubled, so a sum of two logs needs no mod
-        cur = Poly.one(fp)
-        for i in range(n):
-            c = sum(d * w for d, w in zip(cur.codes, weights))
-            exp[i] = exp[i + n] = c
-            log[c] = i
-            cur = cur * g % m
-        self.log, self.exp = log, exp
-
-        def mul(x, y):
-            return exp[log[x] + log[y]] if x and y else 0
-
-        def power(x, e):
-            if not x:
-                return 0 if e else 1
-            return exp[log[x] * e % n]
-
-        self.mul, self.pow = mul, power
-        self.inv = lambda x: exp[n - log[x]]
-        self.frob = ([0] + [exp[log[x] * p % n] for x in range(1, q)]).__getitem__
-        if p == 2:
-            return
-        # Zech logs: 1 + g^m = g^zech[m], or zero where zech[m] = -1
-        zech = [0] * n
-        for m in range(n):
-            c = exp[m]
-            d0 = c % p
-            one_plus = c - d0 + (d0 + 1) % p
-            zech[m] = log[one_plus] if one_plus else -1
-        neg_t = [0] + [exp[log[x] + n // 2] for x in range(1, q)]   # -1 = g^(n/2)
-
-        def add(x, y):
-            if not x:
-                return y
-            if not y:
-                return x
-            lx = log[x]
-            z = zech[log[y] - lx]     # a negative index wraps to (log y - log x) mod n
-            return exp[lx + z] if z >= 0 else 0
-
-        self.add = add
-        self.neg = neg_t.__getitem__
-        self.sub = lambda x, y: add(x, neg_t[y])
 
 
 class FieldSpec:

@@ -221,10 +221,8 @@ class Mat:
         adj, det = _solve(M, [[one if i == j else zero for j in range(n)] for i in range(n)])
         return Mat([[RatFunc(d * x, det) for x in row] for row in adj])
 
-    def twist(self, p: int | None = None) -> "Mat":
+    def twist(self) -> "Mat":
         """Entry-wise p-th power (the Frobenius twist M^(p))."""
-        if p is not None and p != self.spec.p:
-            raise ValueError(f"twist prime {p} does not match the field (p = {self.spec.p})")
         return Mat([[a.pth_power() for a in r] for r in self.rows])
 
     def is_integral(self) -> IntegralityResult:

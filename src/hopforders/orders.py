@@ -203,11 +203,11 @@ def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
     return OrderResult(A, embedding, presentation_from_matrix(A))
 
 
-def verify_twisted_equation(theta: Mat, A: Mat, B: Mat, p: int | None = None) -> bool:
+def verify_twisted_equation(theta: Mat, A: Mat, B: Mat) -> bool:
     """Exact check of Theta*A = B*Theta^(p)."""
     if not (theta.n == A.n == B.n):
         raise ValueError("dimension mismatch")
-    return (theta @ A) == (B @ theta.twist(p))
+    return (theta @ A) == (B @ theta.twist())
 
 
 def same_order(theta1: Mat, theta2: Mat) -> bool:

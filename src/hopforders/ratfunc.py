@@ -28,8 +28,8 @@ class Poly:
     """A polynomial in T over F_q, coefficients ascending, trailing zeros trimmed.
 
     The coefficients are stored as a tuple of int codes (see hopforders.fields)
-    and every operation runs on them; `coeffs`, `lc()` and `constant()`
-    return FqElem views.
+    and every operation runs on them; `coeffs` and `constant()` return
+    FqElem views.
     """
 
     __slots__ = ("spec", "codes")
@@ -100,11 +100,6 @@ class Poly:
 
     def is_one(self) -> bool:
         return self.codes == (1,)
-
-    def lc(self) -> FqElem:
-        if not self.codes:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.spec._make(self.codes[-1])
 
     def constant(self) -> FqElem:
         return self.spec._make(self.codes[0] if self.codes else 0)

@@ -289,17 +289,26 @@ def test_oracle_check_json_is_pinned(capsys):
 
 
 # SHA-256 of the --json stdout of the five presets, in RANK_P2_FAMILIES order,
-# at i, j in -1..2 and depth 2
+# at i, j in -1..2 and depth 2, or the depth in SWEEP_DEPTHS
 SWEEP_DIGESTS = {
     ("enumerate", "p=2"): "32301774026d5e2b5d9d67de5d1ca91048518a26e284c11aae925310a40c2047",
     ("enumerate", "p=3"): "9dbf817f497c22877e3238365f1d7fb7c7d4afb8024cdd8861fa6bce8e3a02e4",
     ("enumerate", "p=2;k=2;mod=a^2+a+1"):
         "292fc016bf59a5b06917b35fd63804d7249006f692659901c95fd02a2d541601",
+    ("enumerate", "p=3;k=2;mod=a^2+1"):
+        "0ee786c4a971ea6f5aa5c226e286886e901dcc0e996dacd8367316d1363e0751",
+    ("enumerate", "p=5;k=2;mod=a^2+a+2"):
+        "3679a817cebd92766f7376dedd6c56014689e68b84ff7bd9d22eec4e73bf22b2",
     ("oracle-check", "p=2"): "fa63d123881a2e7501afb0c12147cdb170027af575f8ea3586f1a4ee724831f2",
     ("oracle-check", "p=3"): "43022b8ad1cdb6624713a989243b1fbc79fd2c68ee3bfd7c0209642673e31c39",
     ("oracle-check", "p=2;k=2;mod=a^2+a+1"):
         "acaa1e6d0b1da6c66fe42b38358bfc85df61a09c0131b9604dabe16f8fd634a9",
+    ("oracle-check", "p=3;k=2;mod=a^2+1"):
+        "c5f835d4b202ae294726407be71b44cc6ba622526cf99c20e7a49ba5fa7d034e",
+    ("oracle-check", "p=5;k=2;mod=a^2+a+2"):
+        "042664961cd7b6ea8eb82ac1543eb3b2b091313f37421a4072de291fc753aefc",
 }
+SWEEP_DEPTHS = {"p=5;k=2;mod=a^2+a+2": 1}
 
 
 @pytest.mark.parametrize("command, field", sorted(SWEEP_DIGESTS))
@@ -307,9 +316,10 @@ def test_sweep_json_bytes_are_pinned(command, field, capsys):
     import hashlib
     from hopforders.families import RANK_P2_FAMILIES
     digest = hashlib.sha256()
+    depth = SWEEP_DEPTHS.get(field, 2)
     for family in RANK_P2_FAMILIES:
         assert main([command, "--family", family.value, "--field", field,
-                     "--i=-1..2", "--j=-1..2", "--depth", "2", "--json"]) == 0
+                     "--i=-1..2", "--j=-1..2", "--depth", str(depth), "--json"]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == SWEEP_DIGESTS[command, field]
 
@@ -366,7 +376,8 @@ def test_module_entry_point_is_quiet():
 
 
 def test_non_sweep_commands_never_load_numpy():
-    """Only the sweeps use numpy: the README examples of every other command
+    """Only the sweeps use numpy: the README examples of every other command,
+    and two over F_4 and F_9, whose code arithmetic the sweep kernel shares,
     run in a fresh interpreter without importing it."""
     import hopforders
     script = (
@@ -385,6 +396,9 @@ def test_non_sweep_commands_never_load_numpy():
         ["fibre", "--field", "p=2", "--A", "[1,0;0,0]"],
         ["present", "--field", "p=3", "--A", "[1,0;0,1]"],
         ["rank1", "--field", "p=3", "--b", "T", "--i", "0"],
+        ["normalize", "--field", "p=2;k=2;mod=a^2+a+1", "--theta", "[a,T;1,a*T]"],
+        ["same-order", "--field", "p=3;k=2;mod=a^2+1", "--theta", "[T,0;a*T^2,T^2]",
+         "--theta2", "[a*T,0;(1+a)/(1+T),2*T^2]"],
     ]))
     env = {"PYTHONPATH": str(Path(hopforders.__file__).parents[1]), "PATH": ""}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

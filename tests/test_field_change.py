@@ -1,11 +1,13 @@
-"""Metamorphic tests under a change of the coefficient field's presentation.
+"""Metamorphic tests under a change of the coefficient field.
 
-Both reach the sweep kernel, the field tables and the object oracle
+All reach the sweep kernel, the field tables and the object oracle
 together: a Galois automorphism of F_q fixes T, the valuation and every 0/1
-matrix B, so it maps the orders of each family onto themselves; and two
-moduli of one degree present isomorphic fields, so the explicit isomorphism
+matrix B, so it maps the orders of each family onto themselves; two moduli
+of one degree present isomorphic fields, so the explicit isomorphism
 a -> r, with r a root of the first modulus in the second field, maps the
-records of one onto the records of the other in every (i, j) cell.
+records of one onto the records of the other in every (i, j) cell; and a
+subfield decides its thetas as the extension does, so its records are the
+extension's records whose coefficients lie in the subfield.
 """
 
 import pytest
@@ -14,7 +16,7 @@ from hopforders.families import RANK_P2_FAMILIES, Family, enumerate_orders
 from hopforders.fields import FieldSpec
 from hopforders.ratfunc import Poly, RatFunc
 
-from helpers import F4, F8, F9
+from helpers import F2, F3, F4, F8, F9, F16
 
 IJ = range(-1, 3)
 
@@ -37,11 +39,14 @@ def test_records_are_closed_under_galois(spec, depth):
 
 def _isomorphism(source: FieldSpec, target: FieldSpec):
     """a -> r on theta's coefficients, r the root of source's modulus in
-    target found by search over target's q elements."""
+    target found by search over target's q elements: an isomorphism of two
+    presentations of one field, or the embedding of a subfield.  A prime
+    field maps its residues and needs no root."""
     def at(coords, x):
         return sum((target.element(c) * x ** t for t, c in enumerate(coords)), target.zero)
 
-    r = next(x for x in target.elements() if not at(source.modulus, x))
+    r = target.zero if source.k == 1 else next(
+        x for x in target.elements() if not at(source.modulus, x))
 
     def poly(f: Poly) -> Poly:
         return Poly(target, [at(c.coeffs, r) for c in f.coeffs])
@@ -66,3 +71,24 @@ def test_records_map_through_the_field_isomorphism(source, target):
     iso = _isomorphism(source, target)
     for family in RANK_P2_FAMILIES:
         assert _cells(family, source, iso) == _cells(family, target), family
+
+
+@pytest.mark.parametrize("sub, ext, depth", [(F2, F4, 3), (F2, F8, 2), (F3, F9, 2), (F4, F16, 2)],
+                         ids=lambda x: f"F{x.q}" if isinstance(x, FieldSpec) else f"d{x}")
+def test_subfield_records_are_the_extension_records_over_it(sub, ext, depth):
+    """A theta over the subfield F_s passes in F_s as in the extension, and
+    the extension's thetas over F_s are those fixed by x -> x^s."""
+    embed = _isomorphism(sub, ext)
+
+    def over_sub(theta):
+        image = theta
+        for _ in range(sub.k):
+            image = _frobenius(image)
+        return image == theta
+
+    for family in RANK_P2_FAMILIES:
+        down = {(r.i, r.j, embed(r.theta)) for r in enumerate_orders(family, sub, IJ, IJ, depth)}
+        records = {(r.i, r.j, r.theta) for r in enumerate_orders(family, ext, IJ, IJ, depth)}
+        assert down == {(i, j, theta) for i, j, theta in records if over_sub(theta)}, family
+        if family is Family.ALPHA_P_N:     # every point is an order: some lie outside F_s
+            assert len(down) < len(records)

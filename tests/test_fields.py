@@ -2,10 +2,12 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopforders import _batch
 from hopforders.fields import MAX_Q, FieldSpec, is_prime
 
 from helpers import (F2, F3, F4, F5, F8, F9, F16, F25, F27, digit_add, digit_frobenius,
@@ -193,6 +195,20 @@ def test_code_arithmetic_matches_digit_reference(spec):
             assert (x + y).coeffs == digit_add(spec, xd, yd)
             assert (x - y).coeffs == digit_sub(spec, xd, yd)
             assert (x * y).coeffs == digit_mul(spec, xd, yd)
+    # the sweep kernel's arithmetic on whole columns: every code, every pair
+    col = _batch._arith(spec)
+    codes = np.arange(spec.q)
+    xs, ys = np.repeat(codes, spec.q), np.tile(codes, spec.q)
+
+    def reference(op, *columns):
+        return [spec.element(op(spec, *(els[c].coeffs for c in cs))).code
+                for cs in zip(*(column.tolist() for column in columns))]
+
+    assert col.frob(codes).tolist() == reference(digit_frobenius, codes)
+    assert col.neg(codes).tolist() == reference(digit_sub, 0 * codes, codes)
+    assert col.inv(codes[1:]).tolist() == reference(digit_inverse, codes[1:])
+    for op, ref in ((col.add, digit_add), (col.sub, digit_sub), (col.mul, digit_mul)):
+        assert op(xs, ys).tolist() == reference(ref, xs, ys)
 
 
 def test_field_at_max_q_builds_tables_and_computes():
@@ -203,7 +219,7 @@ def test_field_at_max_q_builds_tables_and_computes():
         t0 = time.perf_counter()
         ar = spec.arith
         assert time.perf_counter() - t0 < 30
-        assert len(ar.log) == spec.q and len(ar.exp) == 2 * (spec.q - 1)   # O(q) tables
+        assert len(ar.log) == spec.q and len(ar.exp) == 4 * (spec.q - 1) + 1   # O(q) tables
         rng = random.Random("max_q")
         for _ in range(200):
             x = spec.element([rng.randrange(spec.p) for _ in range(spec.k)])
