@@ -115,7 +115,7 @@ class CellGrid:
 
 def oracle_verdicts(grid: CellGrid, b01) -> np.ndarray:
     """Integrality of Theta^{-1} B Theta^(p) per theta row (row 0, theta = 0,
-    is the T^j record), for B given by the rows `b01` of a 0/1 matrix (ints or RatFuncs)."""
+    is the T^j record), for B given by its 0/1 int rows `b01`."""
     p, i, j = grid.p, grid.i, grid.j
     T, zero = grid.pi_power, Laurent(grid.ar, grid.n, {})
     adj = [[T(j), zero], [-grid.theta, T(i)]]

@@ -13,8 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .families import (BatchMismatchError, Family, RANK_P2_FAMILIES, enumerate_orders,
-                       family_matrix, oracle_check_family, rank1_orders, theta_for_record)
+from .families import (BatchMismatchError, Family, enumerate_orders, family_matrix,
+                       oracle_check_family, rank1_orders, theta_for_record)
 from .matrix import SingularMatrixError
 from .orders import (NotIntegralError, ddl_normalize, embedding_generators,
                      is_ddl, order_from_theta, presentation_from_matrix,
@@ -143,7 +143,7 @@ def _family_arg(text: str) -> Family:
         fam = Family(text)
     except ValueError:
         raise ParseError(f"unknown family {text!r}; choose from "
-                         f"{[f.value for f in RANK_P2_FAMILIES]}")
+                         f"{[f.value for f in Family]}")
     return fam
 
 
@@ -152,7 +152,7 @@ def _cmd_enumerate(args) -> int:
     family = _family_arg(args.family)
     records = enumerate_orders(family, spec, _parse_range(args.i),
                                _parse_range(args.j), depth=args.depth)
-    B = family_matrix(family, spec, 2)
+    B = family_matrix(family, spec)
     payload = []
     for rec in records:
         fibre = special_fibre(order_from_theta(B, theta_for_record(rec)).A)

@@ -32,24 +32,21 @@ from .ratfunc import INF, Poly, RatFunc
 
 
 class Family(str, Enum):
-    """Tags for the cataloged algebras; the tag fixes B via family_matrix."""
+    """The five rank-p^2 presets; the tag fixes B via family_matrix."""
 
     ALPHA_P_N = "alpha_p_n"          # B = 0 (any n): Frobenius kernels' product
     ALPHA_P2 = "alpha_p2"            # B = [[0,1],[0,0]]: second Frobenius kernel
     ZP_X_AP = "zp_x_ap"              # B = [[1,0],[0,0]]: etale x connected product
     ZP_SQUARED = "zp_squared"        # B = I: constant group scheme of order p^2
     MONO_P2 = "mono_p2"              # B = [[0,1],[1,0]]: monogenic t^(p^2) - t
-    RANK1_LOCAL = "rank1_local"      # n = 1, b = 0
-    RANK1_SEPARABLE = "rank1_separable"  # n = 1, b in K^x; see rank1_orders
 
     def __str__(self):
         return self.value
 
 
-RANK_P2_FAMILIES = (Family.ALPHA_P_N, Family.ALPHA_P2, Family.ZP_X_AP,
-                    Family.ZP_SQUARED, Family.MONO_P2)
-
+# The one table of the presets' B, as 0/1 int rows.
 _FAMILY_B = {
+    Family.ALPHA_P_N: [[0, 0], [0, 0]],
     Family.ALPHA_P2: [[0, 1], [0, 0]],
     Family.ZP_X_AP: [[1, 0], [0, 0]],
     Family.ZP_SQUARED: [[1, 0], [0, 1]],
@@ -57,29 +54,19 @@ _FAMILY_B = {
 }
 
 
+@functools.cache
 def family_matrix(family: Family, spec: FieldSpec, n: int | None = None) -> Mat:
-    """The 0/1 matrix B of the family's ambient algebra."""
+    """The matrix B of the family's ambient algebra: its preset for n = None
+    or 2, and for alpha_p_n alone the n x n zero matrix of any other n, n = 1
+    being the rank-p local B.  Every caller shares one immutable B per (family,
+    spec, n); the cache is unbounded, as eviction would split n = None from 2."""
+    if n is None:
+        return family_matrix(family, spec, 2)
     family = Family(family)
-    if family is Family.ALPHA_P_N:
-        n = 2 if n is None else n
-    elif family is Family.RANK1_LOCAL:
-        if n not in (None, 1):
-            raise ValueError("rank1_local is a 1x1 family")
-        n = 1
-    elif family is Family.RANK1_SEPARABLE:
-        raise ValueError("rank1_separable is parameterized by a scalar b; use rank1_orders")
-    elif n not in (None, 2):
-        raise ValueError(f"family {family} is 2x2 only")
-    else:
-        n = 2
-    return _shared_matrix(family, spec, n)
-
-
-@functools.lru_cache(maxsize=64)
-def _shared_matrix(family: Family, spec: FieldSpec, n: int) -> Mat:
-    """One B per (family, spec, n), shared by every caller: Mat is immutable."""
-    if family in _FAMILY_B:
+    if n == 2:
         return Mat.from_ints(spec, _FAMILY_B[family])
+    if family is not Family.ALPHA_P_N:
+        raise ValueError(f"family {family} is 2x2 only")
     return Mat.zeros(spec, n)
 
 
@@ -183,7 +170,7 @@ def theta_for_record(record: OrderRecord) -> Mat:
 
 def _witness(rec: OrderRecord) -> Witness | None:
     """The first non-integral entry of the record's A, None if A is integral."""
-    B = family_matrix(rec.family, rec.theta.spec, 2)
+    B = family_matrix(rec.family, rec.theta.spec)
     return _twisted_quotient(B, theta_for_record(rec))[2]
 
 
@@ -207,10 +194,9 @@ def _closed_form(family, p, i, j, theta, T):
     if family is Family.ZP_SQUARED:
         bounds = (i >= 0) & (j >= 0)
         return bounds is not False and bounds & ((twist() - T((p - 1) * i) * theta).val >= j)
-    if family is Family.MONO_P2:
-        bounds = (p * j >= i) & (p * v >= i)
-        return bounds is not False and bounds & ((T((p + 1) * i) - twist() * theta).val >= i + j)
-    raise ValueError(f"no rank-p^2 predicate for family {family}")
+    # mono_p2; a grid cell whose scalar bound p*j >= i fails skips the twist as well
+    bounds = p * j >= i and (p * v >= i)
+    return bounds is not False and bounds & ((T((p + 1) * i) - twist() * theta).val >= i + j)
 
 
 def _loose_closed_form(family, p, i, j, theta, T):
@@ -391,8 +377,6 @@ def _sweep(family, spec, i_range, j_range, depth, form, checks):
     closed form is checked; any difference raises BatchMismatchError.
     """
     family = Family(family)
-    if family not in RANK_P2_FAMILIES:
-        raise ValueError(f"{family} is not a rank-p^2 matrix family")
     if depth is None:
         depth = default_depth(spec.p)
     if depth < 1:
@@ -418,7 +402,7 @@ def _sweep(family, spec, i_range, j_range, depth, form, checks):
                          f"MAX_DEGREE = {MAX_DEGREE}; pass smaller exponents (--i, --j)")
     import numpy as np              # numpy loads with the first sweep
     from . import _batch
-    B, n = family_matrix(family, spec, 2).rows, spec.q ** depth
+    B, n = _FAMILY_B[family], spec.q ** depth
     limit, spot, tag = checks
     total = 0
     found: list[tuple[OrderRecord, bool, bool | None]] = []

@@ -20,7 +20,9 @@ INF = math.inf
 # The largest degree p * deg a Frobenius twist may build: Poly.pth_power
 # spreads a degree-d polynomial to degree p * d, the one place where a degree
 # grows by the factor p.  A parsed polynomial has degree at most
-# parse.MAX_DEGREE = 512, so its twist passes for every p <= 128.
+# parse.MAX_DEGREE = 512, so its twist passes for every p <= 128.  It also
+# bounds the exponent of Poly.monomial, so of every T-power a record, a closed
+# form or a normalization builds.
 MAX_TWIST_DEGREE = 2 ** 16
 
 
@@ -70,6 +72,10 @@ class Poly:
 
     @classmethod
     def monomial(cls, spec: FieldSpec, e: int, coeff: Union[int, FqElem] = 1) -> "Poly":
+        """coeff * T^e; refuses e above MAX_TWIST_DEGREE before building it."""
+        if e > MAX_TWIST_DEGREE:
+            raise ValueError(f"the T-power T^{e} exceeds the limit "
+                             f"MAX_TWIST_DEGREE = {MAX_TWIST_DEGREE}")
         c = spec.element(coeff).code
         if not c:
             return cls.zero(spec)

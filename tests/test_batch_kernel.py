@@ -18,6 +18,7 @@ from hopforders.families import (Family, OrderRecord, _record_from_row,
                                  alpha_p2_loose_predicate, enumerate_orders,
                                  oracle_check_family, oracle_is_order, predicate)
 from hopforders.fields import FieldSpec
+from hopforders.matrix import Mat
 
 from helpers import F2, F3, F4, F5, F8, F9, F25, brute_force_points
 
@@ -182,10 +183,22 @@ def test_sweeps_at_the_max_q_edge():
         assert report.all_agree and report.total == 2 ** 16, report.summary()
 
 
-def test_batch_rejects_unknown_family():
-    grid = _batch.CellGrid(F2, 0, 0, 2, range(4))
-    with pytest.raises(ValueError):
-        families._predicate_column(grid, Family.RANK1_LOCAL, families._closed_form)
+def test_family_matrix_is_the_one_preset_table():
+    """Family is exactly the five presets, and family_matrix gives each B."""
+    assert set(Family) == set(B_INTS)
+    for family in Family:
+        assert families.family_matrix(family, F2) == Mat.from_ints(F2, B_INTS[family])
+
+
+def test_mono_p2_column_skips_the_twist_when_pj_below_i(monkeypatch):
+    """A grid cell with p*j < i fails on every row: its closed-form column is
+    decided without theta^(p)."""
+    def no_twist(self):
+        raise AssertionError("theta^(p) built for a cell whose bound fails")
+    monkeypatch.setattr(_batch.Laurent, "pth_power", no_twist)
+    grid = _batch.CellGrid(F3, 4, 1, 3, range(27))
+    column = families._predicate_column(grid, Family.MONO_P2, families._closed_form)
+    assert column.shape == (27,) and not column.any()
 
 
 def _count_calls(monkeypatch, owner, name, fn=None):

@@ -8,7 +8,7 @@ import pytest
 
 from hopforders.cli import (ParseError, main, parse_element, parse_field_spec,
                             parse_matrix)
-from hopforders.families import MAX_RECORDS
+from hopforders.families import MAX_RECORDS, Family
 from hopforders.matrix import Mat
 from hopforders.parse import MAX_DEGREE, MAX_NESTING
 from hopforders.ratfunc import Poly, RatFunc
@@ -288,7 +288,7 @@ def test_oracle_check_json_is_pinned(capsys):
         '"j_values": [0, 1], "total": 16, "agreements": 16, "disagreements": []}\n')
 
 
-# SHA-256 of the --json stdout of the five presets, in RANK_P2_FAMILIES order,
+# SHA-256 of the --json stdout of the five presets, in Family order,
 # at i, j in -1..2 and depth 2, or the depth in SWEEP_DEPTHS
 SWEEP_DIGESTS = {
     ("enumerate", "p=2"): "32301774026d5e2b5d9d67de5d1ca91048518a26e284c11aae925310a40c2047",
@@ -314,10 +314,9 @@ SWEEP_DEPTHS = {"p=5;k=2;mod=a^2+a+2": 1}
 @pytest.mark.parametrize("command, field", sorted(SWEEP_DIGESTS))
 def test_sweep_json_bytes_are_pinned(command, field, capsys):
     import hashlib
-    from hopforders.families import RANK_P2_FAMILIES
     digest = hashlib.sha256()
     depth = SWEEP_DEPTHS.get(field, 2)
-    for family in RANK_P2_FAMILIES:
+    for family in Family:
         assert main([command, "--family", family.value, "--field", field,
                      "--i=-1..2", "--j=-1..2", "--depth", str(depth), "--json"]) == 0
         digest.update(capsys.readouterr().out.encode())
@@ -350,6 +349,15 @@ def test_usage_errors_exit_2(capsys):
     assert main(["enumerate", "--family", "alpha_p2", "--field", "p=2",
                  "--i", "3..1", "--j", "0..1"]) == 2       # empty range
     capsys.readouterr()
+
+
+def test_rank1_tags_are_not_presets(capsys):
+    """The rank-p tags are no family: one stderr line lists the five presets."""
+    for tag in ("rank1_local", "rank1_separable"):
+        assert main(["enumerate", "--family", tag, "--field", "p=2",
+                     "--i", "0", "--j", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str([f.value for f in Family]) in err, err
 
 
 def test_parse_failures_never_exit_0_or_1(capsys):

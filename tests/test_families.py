@@ -1,13 +1,16 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from hopforders.families import (MAX_SWEEP_CELLS, MAX_SWEEP_POINTS,
-                                 RANK_P2_FAMILIES, Family, OrderRecord, _record_from_row,
+                                 Family, OrderRecord, _record_from_row,
                                  _witness, alpha_p2_loose_predicate, canonical_theta,
                                  default_depth, enumerate_orders, family_matrix,
                                  oracle_check_family, oracle_is_order, predicate,
                                  rank1_orders, theta_for_record)
+from hopforders.fields import FieldSpec
 from hopforders.matrix import Mat
 from hopforders.orders import NotIntegralError, order_from_theta, same_order
 from hopforders.parse import MAX_DEGREE
@@ -33,9 +36,7 @@ def test_family_matrices():
     assert family_matrix(Family.ALPHA_P2, F2) == Mat.from_ints(F2, [[0, 1], [0, 0]])
     assert family_matrix(Family.ZP_X_AP, F2) == Mat.from_ints(F2, [[1, 0], [0, 0]])
     assert family_matrix(Family.MONO_P2, F3) == Mat.from_ints(F3, [[0, 1], [1, 0]])
-    assert family_matrix(Family.RANK1_LOCAL, F2) == Mat.zeros(F2, 1)
-    with pytest.raises(ValueError):
-        family_matrix(Family.RANK1_SEPARABLE, F2)
+    assert family_matrix(Family.ALPHA_P_N, F2, 1) == Mat.zeros(F2, 1)
     with pytest.raises(ValueError):
         family_matrix(Family.ALPHA_P2, F2, 3)
 
@@ -303,7 +304,7 @@ def test_enumerate_rejects_bad_input():
     with pytest.raises(ValueError):
         enumerate_orders(Family.ALPHA_P2, F2, [0], [0], depth=0)
     with pytest.raises(ValueError):
-        enumerate_orders(Family.RANK1_LOCAL, F2, [0], [0], depth=2)
+        enumerate_orders("rank1_local", F2, [0], [0], depth=2)
 
 
 def test_monogenic_flags():
@@ -376,6 +377,25 @@ def test_rank1_exponent_limit():
             rank1_orders(pi(spec), i)
         with pytest.raises(ValueError, match="MAX_DEGREE"):
             rank1_orders(RatFunc.zero(spec), i)
+
+
+def test_huge_record_t_powers_end_in_a_clean_error():
+    """A record whose closed form or oracle would build a T-power past
+    MAX_TWIST_DEGREE raises before it allocates one."""
+    F = FieldSpec(65521)
+    mono = [OrderRecord(Family.MONO_P2, 65521, n, n, pi(F)) for n in (200, 3000)]
+    alpha = OrderRecord(Family.ALPHA_P2, 2, 0, 10 ** 8, one(F2) + pi(F2))
+    assert not predicate(alpha)
+    calls = [(fn, r) for r in mono for fn in (predicate, oracle_is_order)]
+    for fn, record in calls + [(oracle_is_order, alpha)]:
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_TWIST_DEGREE"):
+            fn(record)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert seconds < 0.5 and peak < 16 * 2 ** 20, (fn.__name__, record.i, seconds, peak)
 
 
 def test_family_matrix_shared_per_family_and_spec():
@@ -479,7 +499,7 @@ def test_witness_matches_order_from_theta(spec):
     rng = random.Random(f"witness|{spec.q}")
     seen = set()
     for _ in range(60):
-        family = rng.choice(RANK_P2_FAMILIES)
+        family = rng.choice(list(Family))
         i, j = rng.randint(-2, 4), rng.randint(-2, 3)
         row = rng.randrange(spec.q ** 2)
         record = _record_from_row(family, spec, row, i, j, 2)

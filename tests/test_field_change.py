@@ -12,7 +12,7 @@ extension's records whose coefficients lie in the subfield.
 
 import pytest
 
-from hopforders.families import RANK_P2_FAMILIES, Family, enumerate_orders
+from hopforders.families import Family, enumerate_orders
 from hopforders.fields import FieldSpec
 from hopforders.ratfunc import Poly, RatFunc
 
@@ -29,7 +29,7 @@ def _frobenius(theta: RatFunc) -> RatFunc:
 
 @pytest.mark.parametrize("spec, depth", [(F4, 3), (F8, 2), (F9, 2)])
 def test_records_are_closed_under_galois(spec, depth):
-    for family in RANK_P2_FAMILIES:
+    for family in Family:
         records = {(r.i, r.j, r.theta) for r in enumerate_orders(family, spec, IJ, IJ, depth)}
         images = {(i, j, _frobenius(theta)) for i, j, theta in records}
         assert images == records, family
@@ -69,7 +69,7 @@ def _cells(family, spec, image=lambda theta: theta):
 def test_records_map_through_the_field_isomorphism(source, target):
     source, target = (FieldSpec(p, len(m) - 1, m) for p, m in (source, target))
     iso = _isomorphism(source, target)
-    for family in RANK_P2_FAMILIES:
+    for family in Family:
         assert _cells(family, source, iso) == _cells(family, target), family
 
 
@@ -86,7 +86,7 @@ def test_subfield_records_are_the_extension_records_over_it(sub, ext, depth):
             image = _frobenius(image)
         return image == theta
 
-    for family in RANK_P2_FAMILIES:
+    for family in Family:
         down = {(r.i, r.j, embed(r.theta)) for r in enumerate_orders(family, sub, IJ, IJ, depth)}
         records = {(r.i, r.j, r.theta) for r in enumerate_orders(family, ext, IJ, IJ, depth)}
         assert down == {(i, j, theta) for i, j, theta in records if over_sub(theta)}, family

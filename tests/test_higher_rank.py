@@ -84,7 +84,7 @@ def test_ddl_normalize_4x4():
 def test_rank1_matches_1x1_oracle():
     # the 1x1 matrix pipeline and the rank-p rule agree
     spec = F3
-    B0 = family_matrix(Family.RANK1_LOCAL, spec)
+    B0 = family_matrix(Family.ALPHA_P_N, spec, 1)
     for i in range(-3, 4):
         theta = Mat([[pi(spec, i)]])
         result = order_from_theta(B0, theta)   # b = 0: always an order

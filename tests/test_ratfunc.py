@@ -94,6 +94,14 @@ def test_twist_degree_limit():
     assert Poly.monomial(F, 1).pth_power().degree == 65521
 
 
+def test_pi_power_limit():
+    """A T-power past MAX_TWIST_DEGREE is refused before it is built."""
+    assert RatFunc.pi_power(F2, MAX_TWIST_DEGREE).val == MAX_TWIST_DEGREE
+    for m in (MAX_TWIST_DEGREE + 1, -MAX_TWIST_DEGREE - 1):
+        with pytest.raises(ValueError, match="MAX_TWIST_DEGREE"):
+            RatFunc.pi_power(F2, m)
+
+
 def test_residue():
     # T^3 - 1 -> -1
     x = RatFunc.from_poly(P(F3, -1, 0, 0, 1))
