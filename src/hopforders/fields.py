@@ -7,12 +7,13 @@ F_q = F_p[a]/(modulus).  Elements of different specs never combine.
 Inside the library an element is an int code c = sum_t d_t p^t in [0, q),
 where d_0 + d_1 a + ... + d_{k-1} a^(k-1) is its power-basis form; 0 is zero,
 1 is one, and over F_p the code is the residue.  `FieldSpec.arith` holds the
-code arithmetic: plain ints mod p for k = 1; for k > 1 log/antilog tables to
-a primitive element, built once on first use, serve multiplication, inverse
-and Frobenius, and addition is XOR for p = 2 and digit-wise mod p for odd p.
-Every table has O(q) entries.  The same operations run on int codes and on
-the sweep kernel's numpy columns.  :class:`FqElem` is the immutable element
-at the API edge; its operations run on the same code arithmetic.
+code arithmetic, the primitives add, sub, mul, inv and frob with neg derived:
+plain ints mod p for k = 1; for k > 1 log/antilog tables to a primitive
+element, built once on first use, serve mul, inv and frob, and add is XOR for
+p = 2 and digit-wise mod p for odd p.  Every table has O(q) entries.  The same
+operations run on int codes and on the sweep kernel's numpy columns.
+:class:`FqElem` is the immutable element at the API edge; its powers go through
+Poly.__pow__, its other operations through the same code arithmetic.
 
 The Frobenius map x -> x^p lives here; it is the coefficient-level piece of
 the entry-wise twist applied to matrices over K.
@@ -20,6 +21,7 @@ the entry-wise twist applied to matrices over K.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Sequence, Union
 
@@ -105,12 +107,12 @@ def _tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[list, list, list]
 
 
 class _Arith:
-    """Code arithmetic of one field: add, sub, neg, mul, inv, frob (x -> x^p)
-    and pow (x, e >= 0).  add, sub, neg, mul, frob and, for k > 1, inv run
-    alike on int codes and on numpy int64 columns of codes, given numpy
-    `tables` (see _tables).  Zero has no inverse: callers check first."""
+    """Code arithmetic of one field: the primitives add, sub, mul, inv and frob
+    (x -> x^p), and neg = sub(0, .); element powers go through Poly.__pow__.
+    Each runs alike on int codes and on numpy int64 columns of codes (inv for
+    k > 1 only), given numpy `tables` (see _tables).  Callers check x != 0 before inv."""
 
-    __slots__ = ("p", "add", "sub", "neg", "mul", "inv", "frob", "pow", "log", "exp")
+    __slots__ = ("p", "add", "sub", "neg", "mul", "inv", "frob", "log", "exp")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None, tables=None):
         self.p = p
@@ -118,11 +120,9 @@ class _Arith:
             self.log = self.exp = None
             self.add = lambda x, y: (x + y) % p
             self.sub = lambda x, y: (x - y) % p
-            self.neg = lambda x: -x % p
             self.mul = operator.and_ if p == 2 else lambda x, y: x * y % p
             self.inv = lambda x: pow(x, p - 2, p)
             self.frob = lambda x: x
-            self.pow = lambda x, e: pow(x, e, p)
         else:
             log, exp, frobs = tables or _tables(p, k, modulus)
             n = p ** k - 1
@@ -130,14 +130,12 @@ class _Arith:
             self.mul = lambda x, y: exp[log[x] + log[y]]
             self.inv = lambda x: exp[n - log[x]]
             self.frob = frobs.__getitem__
-            self.pow = lambda x, e: exp[log[x] * e % n] if x else (0 if e else 1)
             weights = [p ** t for t in range(k)]       # odd p: digit by digit mod p
             self.add = lambda x, y: sum((x // w + y // w) % p * w for w in weights)
             self.sub = lambda x, y: sum((x // w - y // w) % p * w for w in weights)
-            self.neg = lambda x: sum(-(x // w) % p * w for w in weights)
         if p == 2:                      # codes are bit vectors
             self.add = self.sub = operator.xor
-            self.neg = lambda x: x
+        self.neg = functools.partial(self.sub, 0)
 
 
 class FieldSpec:
@@ -298,8 +296,7 @@ class FqElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        spec = self.spec
-        return spec._make(spec.arith.sub(self.code, other.code))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -335,8 +332,8 @@ class FqElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        spec = self.spec
-        return spec._make(spec.arith.pow(self.code, e))
+        from .ratfunc import Poly
+        return (Poly._trimmed(self.spec, [self.code]) ** e).constant()
 
     def frobenius(self) -> "FqElem":
         """x -> x^p; the identity on prime fields."""

@@ -149,16 +149,12 @@ class FibreReport:
         }
 
 
-def presentation_from_matrix(A: Mat, gens: tuple[str, ...] | None = None) -> Presentation:
+def presentation_from_matrix(A: Mat) -> Presentation:
     """Presentation with relations u_i^p - sum_j a_{j,i} u_j (column-indexed)."""
     res = A.is_integral()
     if not res:
         raise ValueError(f"presentation requires an integral matrix: {res.witness}")
-    if gens is None:
-        gens = _default_gens("u", A.n)
-    if len(gens) != A.n:
-        raise ValueError("need one generator name per matrix column")
-    return Presentation(A, tuple(gens))
+    return Presentation(A, _default_gens("u", A.n))
 
 
 def _twisted_quotient(B: Mat, theta: Mat) -> tuple[list[list[Poly]], Poly, Witness | None]:

@@ -21,9 +21,16 @@ INF = math.inf
 # spreads a degree-d polynomial to degree p * d, the one place where a degree
 # grows by the factor p.  A parsed polynomial has degree at most
 # parse.MAX_DEGREE = 512, so its twist passes for every p <= 128.  It also
-# bounds the exponent of Poly.monomial, so of every T-power a record, a closed
-# form or a normalization builds.
+# bounds Poly.monomial, Poly.shift and Poly.__pow__, so every T-power a record,
+# a closed form, a normalization or a library call builds.
 MAX_TWIST_DEGREE = 2 ** 16
+
+
+def _check_degree(degree: int) -> None:
+    """Refuse a polynomial of degree above MAX_TWIST_DEGREE before it is built."""
+    if degree > MAX_TWIST_DEGREE:
+        raise ValueError(f"a polynomial of degree {degree} exceeds the limit "
+                         f"MAX_TWIST_DEGREE = {MAX_TWIST_DEGREE}")
 
 
 class Poly:
@@ -71,15 +78,12 @@ class Poly:
         return cls._raw(spec, (1,))
 
     @classmethod
-    def monomial(cls, spec: FieldSpec, e: int, coeff: Union[int, FqElem] = 1) -> "Poly":
-        """coeff * T^e; refuses e above MAX_TWIST_DEGREE before building it."""
+    def monomial(cls, spec: FieldSpec, e: int) -> "Poly":
+        """T^e; refuses e above MAX_TWIST_DEGREE before building it."""
         if e > MAX_TWIST_DEGREE:
             raise ValueError(f"the T-power T^{e} exceeds the limit "
                              f"MAX_TWIST_DEGREE = {MAX_TWIST_DEGREE}")
-        c = spec.element(coeff).code
-        if not c:
-            return cls.zero(spec)
-        return cls._raw(spec, (0,) * e + (c,))
+        return cls._raw(spec, (0,) * e + (1,))
 
     @property
     def coeffs(self) -> tuple[FqElem, ...]:
@@ -136,6 +140,7 @@ class Poly:
         return Poly._trimmed(self.spec, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        # kept, as is _Arith.sub: self + -other here was 2-3x slower and cost theta_stream 8%
         a, b = self.codes, other.codes
         ar = self.spec.arith
         out = list(map(ar.sub, a, b))
@@ -179,13 +184,12 @@ class Poly:
                     out[i + j] = add(out[i + j], exp[lx + ly])
         return Poly._raw(spec, tuple(out))
 
-    def scale(self, c: FqElem) -> "Poly":
-        return self._scale(c.code)
-
     def shift(self, m: int) -> "Poly":
-        """Multiply by T^m, m >= 0."""
+        """Multiply by T^m, m >= 0; refuses a result of degree above
+        MAX_TWIST_DEGREE before building it."""
         if not self.codes:
             return self
+        _check_degree(len(self.codes) - 1 + m)
         return Poly._raw(self.spec, (0,) * m + self.codes)
 
     def rshift(self, m: int) -> "Poly":
@@ -226,9 +230,12 @@ class Poly:
 
     def __pow__(self, e: int, mod: "Poly | None" = None) -> "Poly":
         """self^e for e >= 0 by squaring and multiplying; with `mod`
-        (three-argument pow) every product is reduced mod it."""
+        (three-argument pow) every product is reduced mod it.  Without `mod`
+        it refuses a result of degree above MAX_TWIST_DEGREE before building it."""
         if e < 0:
             raise ValueError("a polynomial power needs e >= 0")
+        if mod is None:
+            _check_degree(self.degree * e)
         one = Poly.one(self.spec)
         out, base = (one, self) if mod is None else (one % mod, self % mod)
         while e:
@@ -325,19 +332,15 @@ class RatFunc:
             m = min(int(num.ord), int(den.ord))
             if m:
                 num, den = num.rshift(m), den.rshift(m)
-            if den.degree == 0:
-                num = num._scale(num.spec.arith.inv(den.codes[0]))
-                den = Poly.one(num.spec)
-            else:
-                if den.ord != den.degree and num.ord != num.degree:
-                    # (a monomial on either side is coprime to the other side now)
-                    g = poly_gcd(num, den)
-                    if g.degree > 0:
-                        num = num // g
-                        den = den // g
-                if den.codes[-1] != 1:
-                    inv = num.spec.arith.inv(den.codes[-1])
-                    num, den = num._scale(inv), den._scale(inv)
+            if den.ord != den.degree and num.ord != num.degree:
+                # (a monomial on either side is coprime to the other side now)
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = num // g
+                    den = den // g
+            if den.codes[-1] != 1:
+                inv = num.spec.arith.inv(den.codes[-1])
+                num, den = num._scale(inv), den._scale(inv)
         self.spec = num.spec
         self.num = num
         self.den = den
@@ -413,9 +416,7 @@ class RatFunc:
         other = _coerce(self, other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc.from_poly(self.num - other.num)
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other

@@ -123,6 +123,24 @@ def test_frobenius_exhaustive_laws(spec):
             assert (x + y).frobenius() == x.frobenius() + y.frobenius()
 
 
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=lambda s: f"F{s.q}")
+def test_powers_match_repeated_product(spec):
+    """x ** e goes through Poly.__pow__: for e >= 0 it is the e-fold product,
+    for e < 0 that of the inverse; 0 ** 0 = 1 and 0 has no negative power."""
+    q = spec.q
+    for x in spec.elements():
+        for e in (0, 1, 2, q - 2, q - 1, q):
+            ref = spec.one
+            for _ in range(e):
+                ref = ref * x
+            assert x ** e == ref, (x, e)
+        if x:
+            assert x ** -1 == x.inverse() and x ** -2 == x.inverse() * x.inverse()
+    assert spec.zero ** 0 == spec.one and spec.zero ** 3 == spec.zero
+    with pytest.raises(ZeroDivisionError):
+        spec.zero ** -1
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -138,6 +156,8 @@ def test_field_axioms(spec, data):
     assert x + spec.zero == x
     assert x * spec.one == x
     assert x + (-x) == spec.zero
+    assert x - y == x + (-y)
+    assert x - 1 == x + (-spec.one) and 1 - x == spec.one + (-x)
     if y:
         assert (x / y) * y == x
         assert y * y.inverse() == spec.one

@@ -16,6 +16,9 @@ def test_mul_identity_and_zero():
     assert x @ Mat.identity(F3, 3) == x
     assert Mat.identity(F3, 3) @ x == x
     assert x @ Mat.zeros(F3, 3) == Mat.zeros(F3, 3)
+    y = rand_mat(rng, F3, 3)
+    assert x - y == x + (-y)
+    assert x - x == Mat.zeros(F3, 3)
 
 
 def test_mul_hand_example():

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -39,6 +41,13 @@ def test_make_monic_denominator():
     x = RatFunc(P(F3, 1), P(F3, 0, 2))
     assert x.den == P(F3, 0, 1)
     assert x.num == P(F3, 2)
+    # a constant denominator goes: (1 + T)/2 over F_3 -> 2 + 2T, T/a over F_4 -> (1 + a)T
+    for num, den, canonical in ((P(F3, 1, 1), P(F3, 2), P(F3, 2, 2)),
+                                (Poly(F4, [F4.zero, F4.one]), Poly(F4, [F4.gen]),
+                                 Poly(F4, [F4.zero, F4.element((1, 1))]))):
+        x = RatFunc(num, den)
+        assert x.den.is_one() and x.num == canonical
+        assert x == RatFunc.from_poly(canonical)
 
 
 def test_zero_denominator():
@@ -95,11 +104,26 @@ def test_twist_degree_limit():
 
 
 def test_pi_power_limit():
-    """A T-power past MAX_TWIST_DEGREE is refused before it is built."""
+    """A T-power past MAX_TWIST_DEGREE is refused before it is built, by
+    RatFunc.pi_power, Poly.__pow__ and Poly.shift alike, at once and in
+    little memory."""
+    t = RatFunc.pi_power(F2, 1)
     assert RatFunc.pi_power(F2, MAX_TWIST_DEGREE).val == MAX_TWIST_DEGREE
+    assert (t ** MAX_TWIST_DEGREE).val == MAX_TWIST_DEGREE
+    assert Poly.one(F2).shift(MAX_TWIST_DEGREE).degree == MAX_TWIST_DEGREE
     for m in (MAX_TWIST_DEGREE + 1, -MAX_TWIST_DEGREE - 1):
         with pytest.raises(ValueError, match="MAX_TWIST_DEGREE"):
             RatFunc.pi_power(F2, m)
+    for call in (lambda: t ** 10 ** 8, lambda: Poly.one(F2).shift(10 ** 8),
+                 lambda: t ** (MAX_TWIST_DEGREE + 1), lambda: P(F2, 1, 1) ** 10 ** 6):
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_TWIST_DEGREE"):
+            call()
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert seconds < 0.5 and peak < 16 * 2 ** 20, (seconds, peak)
 
 
 def test_residue():
@@ -133,6 +157,8 @@ def test_canonical_equality_random():
             x = rand_ratfunc(rng, spec)
             y = rand_ratfunc(rng, spec)
             assert ((x - y).is_zero()) == (x == y)
+            assert x - y == x + (-y)
+            assert x - 1 == x + RatFunc.constant(spec, -1) and 1 - x == -x + 1
             if x == y:
                 assert x.num == y.num and x.den == y.den
 
