@@ -24,14 +24,8 @@ from .parse import ParseError, parse_element, parse_field_spec, parse_matrix
 
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        try:
-            v = int(text)
-        except ValueError as exc:
-            raise ParseError(f"bad range {text!r} (use lo..hi)") from exc
-        return range(v, v + 1)
     try:
-        lo_v, hi_v = int(lo), int(hi)
+        lo_v, hi_v = int(lo), int(hi if sep else lo)
     except ValueError as exc:
         raise ParseError(f"bad range {text!r} (use lo..hi)") from exc
     if hi_v < lo_v:
@@ -51,8 +45,7 @@ def _resolve(arg: str) -> str:
 
 # -- commands --
 
-def _cmd_check(args) -> int:
-    spec = parse_field_spec(args.field)
+def _cmd_check(args, spec) -> int:
     B = parse_matrix(_resolve(args.B), spec)
     theta = parse_matrix(_resolve(args.theta), spec)
     try:
@@ -89,8 +82,7 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    spec = parse_field_spec(args.field)
+def _cmd_verify(args, spec) -> int:
     theta = parse_matrix(_resolve(args.theta), spec)
     A = parse_matrix(_resolve(args.A), spec)
     B = parse_matrix(_resolve(args.B), spec)
@@ -99,8 +91,7 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_normalize(args) -> int:
-    spec = parse_field_spec(args.field)
+def _cmd_normalize(args, spec) -> int:
     theta = parse_matrix(_resolve(args.theta), spec)
     ddl = ddl_normalize(theta)
     unit = theta.inv() @ ddl
@@ -111,8 +102,7 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _cmd_same_order(args) -> int:
-    spec = parse_field_spec(args.field)
+def _cmd_same_order(args, spec) -> int:
     theta = parse_matrix(_resolve(args.theta), spec)
     theta2 = parse_matrix(_resolve(args.theta2), spec)
     ok = same_order(theta, theta2)
@@ -120,8 +110,7 @@ def _cmd_same_order(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_fibre(args) -> int:
-    spec = parse_field_spec(args.field)
+def _cmd_fibre(args, spec) -> int:
     A = parse_matrix(_resolve(args.A), spec)
     rep = special_fibre(A)
     abar = "[" + ";".join(",".join(str(c) for c in row) for row in rep.abar) + "]"
@@ -131,8 +120,7 @@ def _cmd_fibre(args) -> int:
     return 0
 
 
-def _cmd_present(args) -> int:
-    spec = parse_field_spec(args.field)
+def _cmd_present(args, spec) -> int:
     A = parse_matrix(_resolve(args.A), spec)
     print(presentation_from_matrix(A).text())
     return 0
@@ -140,15 +128,13 @@ def _cmd_present(args) -> int:
 
 def _family_arg(text: str) -> Family:
     try:
-        fam = Family(text)
+        return Family(text)
     except ValueError:
         raise ParseError(f"unknown family {text!r}; choose from "
                          f"{[f.value for f in Family]}")
-    return fam
 
 
-def _cmd_enumerate(args) -> int:
-    spec = parse_field_spec(args.field)
+def _cmd_enumerate(args, spec) -> int:
     family = _family_arg(args.family)
     records = enumerate_orders(family, spec, _parse_range(args.i),
                                _parse_range(args.j), depth=args.depth)
@@ -167,8 +153,7 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _cmd_oracle_check(args) -> int:
-    spec = parse_field_spec(args.field)
+def _cmd_oracle_check(args, spec) -> int:
     family = _family_arg(args.family)
     report = oracle_check_family(family, spec, _parse_range(args.i),
                                  _parse_range(args.j), depth=args.depth)
@@ -184,8 +169,7 @@ def _cmd_oracle_check(args) -> int:
     return 0 if report.all_agree else 1
 
 
-def _cmd_rank1(args) -> int:
-    spec = parse_field_spec(args.field)
+def _cmd_rank1(args, spec) -> int:
     b = parse_element(_resolve(args.b), spec)
     res = rank1_orders(b, args.i)
     print(res.description)
@@ -229,7 +213,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.fn(args)
+        return args.fn(args, parse_field_spec(args.field))
     except (ParseError, SingularMatrixError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,8 +12,9 @@ plain ints mod p for k = 1; for k > 1 log/antilog tables to a primitive
 element, built once on first use, serve mul, inv and frob, and add is XOR for
 p = 2 and digit-wise mod p for odd p.  Every table has O(q) entries.  The same
 operations run on int codes and on the sweep kernel's numpy columns.
-:class:`FqElem` is the immutable element at the API edge; its powers go through
-Poly.__pow__, its other operations through the same code arithmetic.
+:class:`FqElem` is the immutable element at the API edge, on the same code
+arithmetic; _FIELD_OPS derives its -, / and ** and RatFunc's alike, and
+_poly_text prints every polynomial.
 
 The Frobenius map x -> x^p lives here; it is the coefficient-level piece of
 the entry-wise twist applied to matrices over K.
@@ -51,19 +52,23 @@ def _is_irreducible(m) -> bool:
     return True
 
 
-def _coeff_str(coeffs: Sequence[int]) -> str:
-    """Ascending polynomial in `a`, e.g. "1+a+a^2"; compact, round-trips."""
+def _poly_text(codes: Sequence[int], text, var: str, sep: str) -> str:
+    """Ascending polynomial in `var`, terms joined by `sep`, e.g. "1+a+a^2" or
+    "1 + (1+a)*T^2"; "0" if every code is zero.  Zero codes are skipped before
+    `text` formats them, a unit before `var` dropped, sums parenthesized."""
     terms = []
-    for e, c in enumerate(coeffs):
-        if c == 0:
+    for e, c in enumerate(codes):
+        if not c:
             continue
+        cs = text(c)
+        if "+" in cs:
+            cs = f"({cs})"
         if e == 0:
-            terms.append(str(c))
-        elif e == 1:
-            terms.append("a" if c == 1 else f"{c}*a")
+            terms.append(cs)
         else:
-            terms.append(f"a^{e}" if c == 1 else f"{c}*a^{e}")
-    return "+".join(terms) if terms else "0"
+            t = var if e == 1 else f"{var}^{e}"
+            terms.append(t if c == 1 else f"{cs}*{t}")
+    return sep.join(terms) or "0"
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -244,7 +249,7 @@ class FieldSpec:
         """Canonical text form, e.g. "p=2" or "p=2;k=2;mod=1+a+a^2"."""
         if self.k == 1:
             return f"p={self.p}"
-        return f"p={self.p};k={self.k};mod={_coeff_str(self.modulus)}"
+        return f"p={self.p};k={self.k};mod={_poly_text(self.modulus, str, 'a', '+')}"
 
     def __eq__(self, other):
         if self is other:
@@ -258,6 +263,39 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec({self.spec_text()!r})"
+
+
+def _sub(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return NotImplemented
+    return self + -other
+
+
+def _rsub(self, other):
+    return (-self).__add__(other)
+
+
+def _truediv(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return NotImplemented
+    return self * other.inverse()
+
+
+def _rtruediv(self, other):
+    return self.inverse() * other
+
+
+def _pow(self, e: int):
+    if e < 0:
+        return self.inverse() ** (-e)
+    return self._power(e)
+
+
+# The derived operators of FqElem and RatFunc.  Each class binds them in its own
+# body, not from a base class, so they stay in vars(cls) for perfbench/tracer.py.
+_FIELD_OPS = (_sub, _rsub, _truediv, _rtruediv, _pow)
 
 
 class FqElem:
@@ -292,15 +330,6 @@ class FqElem:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + -other
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __neg__(self):
         spec = self.spec
         return spec._make(spec.arith.neg(self.code))
@@ -320,20 +349,11 @@ class FqElem:
         spec = self.spec
         return spec._make(spec.arith.inv(self.code))
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
+    def _power(self, e: int) -> "FqElem":
         from .ratfunc import Poly
         return (Poly._trimmed(self.spec, [self.code]) ** e).constant()
+
+    __sub__, __rsub__, __truediv__, __rtruediv__, __pow__ = _FIELD_OPS
 
     def frobenius(self) -> "FqElem":
         """x -> x^p; the identity on prime fields."""
@@ -354,9 +374,7 @@ class FqElem:
         return hash((self.code, self.spec.p, self.spec.k))
 
     def __str__(self):
-        if self.spec.k == 1:
-            return str(self.code)
-        return _coeff_str(self.coeffs)
+        return _poly_text(self.coeffs, str, "a", "+")
 
     def __repr__(self):
         return f"FqElem({self}, F_{self.spec.q})"

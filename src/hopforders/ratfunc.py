@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Sequence, Union
 
-from .fields import FieldSpec, FqElem
+from .fields import _FIELD_OPS, FieldSpec, FqElem, _poly_text
 
 INF = math.inf
 
@@ -273,24 +273,8 @@ class Poly:
         return bool(self.codes)
 
     def __str__(self):
-        if not self.codes:
-            return "0"
         make = self.spec._make
-        terms = []
-        for e, c in enumerate(self.codes):
-            if not c:
-                continue
-            cs = str(make(c))
-            needs_parens = "+" in cs
-            if e == 0:
-                terms.append(f"({cs})" if needs_parens else cs)
-                continue
-            t = "T" if e == 1 else f"T^{e}"
-            if c == 1:
-                terms.append(t)
-            else:
-                terms.append(f"({cs})*{t}" if needs_parens else f"{cs}*{t}")
-        return " + ".join(terms)
+        return _poly_text(self.codes, lambda c: str(make(c)), "T", " + ")
 
     def __repr__(self):
         return f"Poly({self})"
@@ -412,15 +396,6 @@ class RatFunc:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _coerce(self, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + -other
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return RatFunc._raw(-self.num, self.den)
 
@@ -443,20 +418,11 @@ class RatFunc:
             num, den = num._scale(inv), den._scale(inv)
         return RatFunc._raw(num, den)
 
-    def __truediv__(self, other):
-        other = _coerce(self, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
+    def _power(self, e: int) -> "RatFunc":
         # coprime parts stay coprime, and a monic denominator stays monic
         return RatFunc._raw(self.num ** e, self.den ** e)
+
+    __sub__, __rsub__, __truediv__, __rtruediv__, __pow__ = _FIELD_OPS
 
     def __bool__(self):
         return bool(self.num.codes)
@@ -492,10 +458,11 @@ def _coerce(ref: RatFunc, other) -> RatFunc:
         if ref.spec != other.spec:
             raise ValueError("cannot combine elements over different field specs")
         return other
-    if isinstance(other, int):
-        return RatFunc.constant(ref.spec, other)
-    if isinstance(other, FqElem):
+    if isinstance(other, (int, FqElem)):
         return RatFunc.constant(ref.spec, other)
     if isinstance(other, Poly):
         return RatFunc.from_poly(other)
     return NotImplemented
+
+
+RatFunc._coerce = _coerce     # for the _FIELD_OPS operators
