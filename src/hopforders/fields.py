@@ -54,20 +54,20 @@ def _is_irreducible(m) -> bool:
 
 def _poly_text(codes: Sequence[int], text, var: str, sep: str) -> str:
     """Ascending polynomial in `var`, terms joined by `sep`, e.g. "1+a+a^2" or
-    "1 + (1+a)*T^2"; "0" if every code is zero.  Zero codes are skipped before
-    `text` formats them, a unit before `var` dropped, sums parenthesized."""
+    "1 + (1+a)*T^2"; "0" if every code is zero.  `text` formats every code but
+    zero and a unit before `var`; a sum it returns is parenthesized."""
     terms = []
     for e, c in enumerate(codes):
         if not c:
             continue
+        t = "" if e == 0 else var if e == 1 else f"{var}^{e}"
+        if t and c == 1:
+            terms.append(t)
+            continue
         cs = text(c)
         if "+" in cs:
             cs = f"({cs})"
-        if e == 0:
-            terms.append(cs)
-        else:
-            t = var if e == 1 else f"{var}^{e}"
-            terms.append(t if c == 1 else f"{cs}*{t}")
+        terms.append(f"{cs}*{t}" if t else cs)
     return sep.join(terms) or "0"
 
 
