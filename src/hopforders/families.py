@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 
 from .fields import FieldSpec
 from .matrix import Mat, Witness
-from .orders import _term, _twisted_quotient
+from .orders import _factor, _term, _twisted_quotient
 from .parse import MAX_DEGREE
 from .ratfunc import INF, Poly, RatFunc
 
@@ -112,7 +112,8 @@ def canonical_theta(theta: RatFunc, j: int) -> RatFunc:
 
 @dataclass(frozen=True)
 class OrderRecord:
-    """Canonical (i, j, theta) naming one order of its family."""
+    """Canonical (i, j, theta) naming one order of its family.  theta must be
+    what canonical_theta(theta, j) returns; that call also tests v(theta) <= j."""
 
     family: Family
     p: int
@@ -124,9 +125,6 @@ class OrderRecord:
         object.__setattr__(self, "family", Family(self.family))
         if self.theta.spec.p != self.p:
             raise ValueError("record prime does not match the coefficient field")
-        v = self.theta.val
-        if v == INF or v > self.j:
-            raise ValueError(f"DDL dominance requires v(theta) <= j, got v = {v}")
         if canonical_theta(self.theta, self.j) != self.theta:
             raise ValueError("theta is not in canonical truncated form; use OrderRecord.make")
 
@@ -156,7 +154,7 @@ class OrderRecord:
             "i": self.i,
             "j": self.j,
             "theta": str(self.theta),
-            "v_theta": None if self.theta.val == INF else int(self.theta.val),
+            "v_theta": int(self.theta.val),
             "monogenic": self.monogenic,
         }
 
@@ -525,9 +523,6 @@ def rank1_orders(b: RatFunc, i: int) -> Rank1Result:
     N, D, witness = _twisted_quotient(Mat([[b_norm]]), Mat([[theta]]))
     a = RatFunc(N[0][0], D)
     gen = _term(theta, "t")
-    a_str = str(a)
-    if " + " in a_str or "/" in a_str:
-        a_str = f"({a_str})"
-    relation = f"u^{p} = {a_str}*u"
+    relation = f"u^{p} = {_factor(a)}*u"
     description = f"H_{i} = R[u], u = {gen}, {relation}"
     return Rank1Result(witness is None, i, b, b_norm, a, relation, description)

@@ -37,14 +37,15 @@ class NotIntegralError(Exception):
         return f"resulting matrix is not integral: {self.witness}"
 
 
+def _factor(x: RatFunc) -> str:
+    """The one factor printer: str(x), parenthesized when it is a sum or a fraction."""
+    s = str(x)
+    return f"({s})" if " + " in s or "/" in s else s
+
+
 def _term(coef: RatFunc, name: str) -> str:
-    """Format coef*name, dropping unit coefficients, parenthesizing sums."""
-    if coef.is_one():
-        return name
-    cs = str(coef)
-    if " + " in cs or "/" in cs:
-        cs = f"({cs})"
-    return f"{cs}*{name}"
+    """Format coef*name, dropping unit coefficients."""
+    return name if coef.is_one() else f"{_factor(coef)}*{name}"
 
 
 def _default_gens(prefix: str, n: int) -> tuple[str, ...]:
@@ -158,17 +159,13 @@ def presentation_from_matrix(A: Mat) -> Presentation:
 
 
 def _twisted_quotient(B: Mat, theta: Mat) -> tuple[list[list[Poly]], Poly, Witness | None]:
-    """The integrality test behind order_from_theta and the family oracle:
-    (N, D, witness), A = Theta^{-1} B Theta^(p) = N / D, the witness the first
-    entry of A in row-major order with ord(N_ij) < ord(D), None if A is
+    """The integrality test behind order_from_theta, the family oracle and
+    rank1_orders, for an integral B of Theta's size and spec (the callers'
+    duty): (N, D, witness), A = Theta^{-1} B Theta^(p) = N / D, the witness the
+    first entry of A in row-major order with ord(N_ij) < ord(D), None if A is
     integral.  With Theta = M / d and B = B' / b over F_q[T], N = adj(M) B' M^(p)
     and D = det M * b * d^(p-1), with d^(p-1) = d^(p) / d so that every twist
     is bounded by MAX_TWIST_DEGREE; no division in K happens before the verdict."""
-    res = B.is_integral()
-    if not res:
-        raise ValueError(f"B must be integral: {res.witness}")
-    if B.n != theta.n or B.spec != theta.spec:
-        raise ValueError("B and Theta must have equal size over one field spec")
     M, d = theta._polynomial_form()
     Bm, b = B._polynomial_form()
     twisted = [[x.pth_power() for x in row] for row in M]
@@ -188,15 +185,19 @@ def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
 
     Computes A = Theta^{-1} B Theta^(p).  Succeeds iff A is integral; raises
     NotIntegralError carrying the first offending entry otherwise, and
-    SingularMatrixError for non-invertible Theta.
-    """
+    SingularMatrixError for non-invertible Theta, after checking B (integral,
+    of Theta's size and spec)."""
+    res = B.is_integral()
+    if not res:
+        raise ValueError(f"B must be integral: {res.witness}")
+    if B.n != theta.n or B.spec != theta.spec:
+        raise ValueError("B and Theta must have equal size over one field spec")
     N, D, witness = _twisted_quotient(B, theta)
     if witness is not None:
         raise NotIntegralError(witness)
     A = Mat([[RatFunc(x, D) for x in row] for row in N])
-    n = A.n
-    embedding = Embedding(theta, _default_gens("u", n), _default_gens("t", n))
-    return OrderResult(A, embedding, presentation_from_matrix(A))
+    gens = _default_gens("u", A.n)
+    return OrderResult(A, Embedding(theta, gens, _default_gens("t", A.n)), Presentation(A, gens))
 
 
 def verify_twisted_equation(theta: Mat, A: Mat, B: Mat) -> bool:

@@ -80,9 +80,7 @@ class Poly:
     @classmethod
     def monomial(cls, spec: FieldSpec, e: int) -> "Poly":
         """T^e; refuses e above MAX_TWIST_DEGREE before building it."""
-        if e > MAX_TWIST_DEGREE:
-            raise ValueError(f"the T-power T^{e} exceeds the limit "
-                             f"MAX_TWIST_DEGREE = {MAX_TWIST_DEGREE}")
+        _check_degree(e)
         return cls._raw(spec, (0,) * e + (1,))
 
     @property
@@ -123,16 +121,17 @@ class Poly:
         return self._scale(self.spec.arith.inv(self.codes[-1]))
 
     def _scale(self, c: int) -> "Poly":
-        """Multiply by the constant with code c."""
-        if not c:
-            return Poly.zero(self.spec)
+        """Multiply by the constant with code c != 0."""
         if c == 1:
             return self
         mul = self.spec.arith.mul
         return Poly._raw(self.spec, tuple(mul(x, c) for x in self.codes))
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.codes, other.codes
+        try:
+            a, b = self.codes, other.codes
+        except AttributeError:          # not a Poly: RatFunc's reflected form, or TypeError
+            return NotImplemented
         if len(a) < len(b):
             a, b = b, a
         out = list(map(self.spec.arith.add, a, b))
@@ -141,7 +140,10 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         # kept, as is _Arith.sub: self + -other here was 2-3x slower and cost theta_stream 8%
-        a, b = self.codes, other.codes
+        try:
+            a, b = self.codes, other.codes
+        except AttributeError:
+            return NotImplemented
         ar = self.spec.arith
         out = list(map(ar.sub, a, b))
         if len(a) > len(b):
@@ -154,7 +156,10 @@ class Poly:
         return Poly._raw(self.spec, tuple(map(self.spec.arith.neg, self.codes)))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.codes, other.codes
+        try:
+            a, b = self.codes, other.codes
+        except AttributeError:
+            return NotImplemented
         spec = self.spec
         if not a or not b:
             return Poly.zero(spec)
@@ -310,8 +315,6 @@ class RatFunc:
             raise ValueError("numerator and denominator from different field specs")
         if num.is_zero():
             num, den = num, Poly.one(num.spec)
-        elif den.is_one():
-            pass
         else:
             m = min(int(num.ord), int(den.ord))
             if m:

@@ -42,6 +42,8 @@ def test_parse_field_spec_modulus_messages():
         parse_field_spec("p=2;k=2;mod=T^2+T+1")
     with pytest.raises(ParseError, match="polynomial in a"):
         parse_field_spec("p=2;k=2;mod=a^2+a+1/a")
+    with pytest.raises(ParseError, match="bad field-spec fragment 'k'"):
+        parse_field_spec("p=2;k")
     # the modulus goes through the element grammar over F_p
     assert parse_field_spec("p=2;k=2;mod=(a+1)*a+1") == F4
     assert parse_field_spec("p=2;k=2;mod=a^2+a+1+a^3-a^3") == F4
@@ -78,6 +80,8 @@ def test_parse_element_errors():
         parse_element("T+", F2)
     with pytest.raises(ParseError):
         parse_element("T^x", F2)
+    with pytest.raises(ParseError, match="expected an integer exponent"):
+        parse_element("T^-a", F4)
     with pytest.raises(ParseError):
         parse_element("1/(T-T)", F2)    # division by zero
     with pytest.raises(ParseError):
@@ -277,6 +281,20 @@ def test_oracle_check_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "disagreements=0" in out
+
+
+def test_oracle_check_prints_disagreements(capsys, monkeypatch):
+    """A closed form that always says yes disagrees with the oracle on every
+    non-order: exit 1, one line per disagreement, each with its witness."""
+    from hopforders import families
+    monkeypatch.setattr(families, "_closed_form", lambda *args: True)
+    code = main(["oracle-check", "--family", "alpha_p2", "--field", "p=2",
+                 "--i", "0..1", "--j", "0..1", "--depth", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    disagreements = [line for line in lines if line.startswith("disagreement:")]
+    assert code == 1
+    assert disagreements and all(" oracle=False witness=entry (" in line
+                                 for line in disagreements)
 
 
 def test_oracle_check_json_is_pinned(capsys):

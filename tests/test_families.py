@@ -72,8 +72,10 @@ def test_canonical_theta_rejects_dominance_violation():
 def test_record_validation():
     r = rec(Family.ALPHA_P2, F2, 2, 1, pi(F2))
     assert r.theta == pi(F2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"v\(theta\) <= j = 1, got v = 2$"):
         OrderRecord(Family.ALPHA_P2, 2, 0, 1, pi(F2, 2))       # v > j
+    with pytest.raises(ValueError, match=r"v\(theta\) <= j = 1, got v = inf$"):
+        OrderRecord(Family.ALPHA_P2, 2, 0, 1, RatFunc.zero(F2))
     with pytest.raises(ValueError):
         OrderRecord(Family.ALPHA_P2, 2, 0, 3,
                     one(F2) / (one(F2) + pi(F2)))              # not truncated
@@ -483,7 +485,7 @@ def test_oracle_builds_no_order(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle built an order")
 
-    monkeypatch.setattr("hopforders.orders.presentation_from_matrix", forbidden)
+    monkeypatch.setattr("hopforders.orders.Presentation", forbidden)
     monkeypatch.setattr("hopforders.orders.Embedding", forbidden)
     for family in (Family.ALPHA_P_N, Family.ALPHA_P2, Family.MONO_P2):
         assert oracle_is_order(rec(family, F2, 0, 0, one(F2)))

@@ -66,6 +66,14 @@ def test_spec_value_equality():
     assert FieldSpec(3) == FieldSpec(3)
     assert FieldSpec(2, 2, (1, 1, 1)) == FieldSpec(2, 2, (1, 1, 1))
     assert FieldSpec(2) != FieldSpec(3)
+    assert FieldSpec(3) != 3 and not FieldSpec(3) == 3
+    assert repr(F4) == "FieldSpec('p=2;k=2;mod=1+a+a^2')"
+
+
+def test_element_equality_and_hash():
+    assert F3.element(2) == 2 and F3.element(2) == -1 and F3.element(2) != 1
+    assert F4.one == 1 and F4.gen != 0
+    assert hash(F4.element((1, 1))) == hash(F4.gen + 1)
 
 
 def test_mul_f3():
@@ -92,6 +100,12 @@ def test_division_by_zero():
 def test_mixed_specs_rejected():
     with pytest.raises(ValueError):
         F2.one + F3.one
+    with pytest.raises(ValueError, match="^element belongs to a different field spec$"):
+        F3.element(F2.one)
+    with pytest.raises(ValueError, match=r"^too many coordinates for F_2\^2$"):
+        F4.element((1, 0, 1))
+    with pytest.raises(ValueError, match="^prime fields have no extension generator$"):
+        F3.gen
 
 
 def test_frobenius_prime_field_is_identity():

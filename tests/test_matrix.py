@@ -33,6 +33,19 @@ def test_mul_dimension_mismatch():
         Mat.identity(F2, 2) @ Mat.identity(F2, 3)
 
 
+def test_constructor_checks_and_protocols():
+    one, zero = RatFunc.one(F2), RatFunc.zero(F2)
+    for rows in ([], [[one, zero], [one]]):
+        with pytest.raises(ValueError, match="^matrix must be square and nonempty$"):
+            Mat(rows)
+    with pytest.raises(ValueError, match="^matrix entries must share one field spec$"):
+        Mat([[one, zero], [zero, RatFunc.one(F3)]])
+    m = Mat([[one, pi(F2)], [zero, one]])
+    assert m != 0 and not m == 0
+    assert hash(m) == hash(Mat([[one, pi(F2)], [zero, one]]))
+    assert repr(m) == "Mat([1,T;0,1])"
+
+
 def test_det_examples():
     assert Mat.identity(F3, 3).det() == RatFunc.one(F3)
     theta = RatFunc.one(F2) + pi(F2)     # any nonzero theta

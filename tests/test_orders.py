@@ -32,6 +32,7 @@ def test_presentation_identity():
 def test_presentation_worked_example():
     _, _, A = worked_example(F2)
     pres = presentation_from_matrix(A)
+    assert str(pres) == pres.text() == f"R[u1,u2,u3]/({', '.join(pres.relations())})"
     # column-indexed relations, with -1 = 1 and T^(p+3) = T^5 over F_2
     assert pres.relations() == [
         "u1^2 - T*u1 - (T + T^5)*u2 - (1 + T^3)*u3",
@@ -145,8 +146,16 @@ def test_order_from_theta_singular_theta_message(spec):
 
 
 def test_order_from_theta_preconditions():
-    with pytest.raises(ValueError):
+    """B is checked first, in this order: integral, then of Theta's size and
+    spec; a singular Theta is reported only for a good B."""
+    with pytest.raises(ValueError, match=r"^B must be integral: entry \(1,1\) has valuation -1"):
         order_from_theta(Mat.diag([pi(F2, -1)]), Mat.identity(F2, 1))
+    with pytest.raises(ValueError, match="^B must be integral"):
+        order_from_theta(Mat.diag([pi(F2, -1)]), Mat.zeros(F3, 2))
+    size = "^B and Theta must have equal size over one field spec$"
+    for B, theta in ((Mat.zeros(F2, 2), Mat.zeros(F2, 3)), (Mat.zeros(F3, 2), Mat.zeros(F2, 2))):
+        with pytest.raises(ValueError, match=size):
+            order_from_theta(B, theta)
     with pytest.raises(SingularMatrixError):
         order_from_theta(Mat.zeros(F2, 2), Mat.zeros(F2, 2))
 

@@ -53,6 +53,18 @@ def test_make_monic_denominator():
 def test_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         RatFunc(P(F2, 1), Poly.zero(F2))
+    with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+        P(F3, 1, 1).divmod(Poly.zero(F3))
+    with pytest.raises(ValueError, match="^numerator and denominator from different field specs$"):
+        RatFunc(P(F2, 1), P(F3, 1, 1))
+
+
+def test_zero_polynomial():
+    for spec in (F2, F3, F4):
+        zero = Poly.zero(spec)
+        assert zero.ord == INF and zero.degree == -1
+        assert zero.shift(3) == zero and zero.shift(3).is_zero()
+        assert not zero == 0 and zero != 0 and P(spec, 1) != 1
 
 
 def test_valuations():
@@ -148,6 +160,9 @@ def test_poly_gcd_monic():
     g = poly_gcd(P(F3, -1, 0, 1), P(F3, -1, 1))
     assert g == P(F3, -1, 1) or g == P(F3, 2, 1)
     assert g.is_monic()
+    # a zero argument gives the other one, made monic
+    f = P(F3, 1, 2)
+    assert poly_gcd(Poly.zero(F3), f) == poly_gcd(f, Poly.zero(F3)) == P(F3, 2, 1)
 
 
 def test_canonical_equality_random():
@@ -239,3 +254,10 @@ def test_str_forms():
     x = RatFunc(P(F2, 0, 0, 0, 1), P(F2, 1, 1))
     assert str(x) == "T^3/(1 + T)"
     assert str(RatFunc.zero(F5)) == "0"
+    assert repr(P(F3, 0, 2, 1)) == "Poly(2*T + T^2)"
+    assert repr(x) == "RatFunc(T^3/(1 + T))"
+
+
+def test_equality_with_an_int():
+    assert RatFunc.constant(F3, 2) == 2 and RatFunc.constant(F3, 2) == -1
+    assert RatFunc.zero(F5) == 0 and pi(F5) != 0 and RatFunc.one(F4) == 1

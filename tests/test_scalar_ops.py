@@ -63,6 +63,18 @@ def test_ratfunc_combines_with_elements_and_polynomials(spec):
         assert x * poly == x * RatFunc.from_poly(poly)
         assert x - poly == x - RatFunc.from_poly(poly)
         assert x / poly == x / RatFunc.from_poly(poly)
+        # a Poly on the left hands RatFunc to its reflected operators
+        assert poly - x == RatFunc.from_poly(poly) - x
+        assert poly * x == RatFunc.from_poly(poly) * x
+        assert poly + x == RatFunc.from_poly(poly) + x
+
+
+@spec_param
+def test_polynomial_with_an_int_is_a_type_error(spec):
+    poly = Poly.from_ints(spec, [1, 0, 1])
+    for op, c in ((operator.add, 1), (operator.mul, 2), (operator.sub, 1)):
+        with pytest.raises(TypeError):
+            op(poly, c)
 
 
 @spec_param
