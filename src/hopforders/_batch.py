@@ -16,8 +16,8 @@ Theta = [[T^i, 0], [theta, T^j]]:
 All arithmetic is exact.  Callers (families.oracle_check_family /
 enumerate_orders) cross-check these verdicts against the object-level oracle,
 exhaustively on small cells and on seeded samples of large ones; any mismatch
-raises.  This is the one module that uses numpy; `families` imports it when a
-sweep runs.
+raises.  This module imports numpy at module level; `families` imports it,
+and numpy itself in `_sweep` and `_predicate_column`, when a sweep runs.
 """
 
 from __future__ import annotations

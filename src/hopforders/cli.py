@@ -1,4 +1,6 @@
-"""Command-line surface: parse arguments with hopforders.parse; run checks.
+"""Command-line surface: `main` parses --field and then each matrix or
+element argument with hopforders.parse, in the order its subcommand declares
+them; the handlers compute and print.
 
 Any matrix or element argument may be @file, reading the same grammar from a
 UTF-8 text file.  Exit codes: 0 mathematical yes/success, 1 mathematical no,
@@ -15,7 +17,6 @@ from pathlib import Path
 
 from .families import (BatchMismatchError, Family, enumerate_orders, family_matrix,
                        oracle_check_family, rank1_orders, theta_for_record)
-from .matrix import SingularMatrixError
 from .orders import (NotIntegralError, ddl_normalize, embedding_generators,
                      is_ddl, order_from_theta, presentation_from_matrix,
                      same_order, special_fibre, verify_twisted_equation)
@@ -45,9 +46,7 @@ def _resolve(arg: str) -> str:
 
 # -- commands --
 
-def _cmd_check(args, spec) -> int:
-    B = parse_matrix(_resolve(args.B), spec)
-    theta = parse_matrix(_resolve(args.theta), spec)
+def _cmd_check(args, spec, B, theta) -> int:
     try:
         result = order_from_theta(B, theta)
     except NotIntegralError as exc:
@@ -82,17 +81,13 @@ def _cmd_check(args, spec) -> int:
     return 0
 
 
-def _cmd_verify(args, spec) -> int:
-    theta = parse_matrix(_resolve(args.theta), spec)
-    A = parse_matrix(_resolve(args.A), spec)
-    B = parse_matrix(_resolve(args.B), spec)
+def _cmd_verify(args, spec, theta, A, B) -> int:
     ok = verify_twisted_equation(theta, A, B)
     print(f"twisted equation holds: {'yes' if ok else 'no'}")
     return 0 if ok else 1
 
 
-def _cmd_normalize(args, spec) -> int:
-    theta = parse_matrix(_resolve(args.theta), spec)
+def _cmd_normalize(args, spec, theta) -> int:
     ddl = ddl_normalize(theta)
     unit = theta.inv() @ ddl
     print(f"ddl = {ddl}")
@@ -102,16 +97,13 @@ def _cmd_normalize(args, spec) -> int:
     return 0
 
 
-def _cmd_same_order(args, spec) -> int:
-    theta = parse_matrix(_resolve(args.theta), spec)
-    theta2 = parse_matrix(_resolve(args.theta2), spec)
+def _cmd_same_order(args, spec, theta, theta2) -> int:
     ok = same_order(theta, theta2)
     print(f"same order: {'yes' if ok else 'no'}")
     return 0 if ok else 1
 
 
-def _cmd_fibre(args, spec) -> int:
-    A = parse_matrix(_resolve(args.A), spec)
+def _cmd_fibre(args, spec, A) -> int:
     rep = special_fibre(A)
     abar = "[" + ";".join(",".join(str(c) for c in row) for row in rep.abar) + "]"
     print(f"abar = {abar}")
@@ -120,8 +112,7 @@ def _cmd_fibre(args, spec) -> int:
     return 0
 
 
-def _cmd_present(args, spec) -> int:
-    A = parse_matrix(_resolve(args.A), spec)
+def _cmd_present(args, spec, A) -> int:
     print(presentation_from_matrix(A).text())
     return 0
 
@@ -169,8 +160,7 @@ def _cmd_oracle_check(args, spec) -> int:
     return 0 if report.all_agree else 1
 
 
-def _cmd_rank1(args, spec) -> int:
-    b = parse_element(_resolve(args.b), spec)
+def _cmd_rank1(args, spec, b) -> int:
     res = rank1_orders(b, args.i)
     print(res.description)
     print(f"order: {'yes' if res.is_order else 'no'}")
@@ -185,24 +175,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **flags):
+        # a flag given a parse function is required; main parses its value with that
+        # function, read from the module globals each time main builds the parser
         p = sub.add_parser(name)
         for flag, kwargs in flags.items():
-            p.add_argument(f"--{flag}", **kwargs)
-        p.set_defaults(fn=fn)
+            p.add_argument(f"--{flag}", **(req if callable(kwargs) else kwargs))
+        p.set_defaults(fn=fn, values=[(f, k) for f, k in flags.items() if callable(k)])
 
-    req = {"required": True}
-    add("check", _cmd_check, field=req, B=req, theta=req,
-        json={"action": "store_true"})
-    add("verify", _cmd_verify, field=req, theta=req, A=req, B=req)
-    add("normalize", _cmd_normalize, field=req, theta=req)
-    add("same-order", _cmd_same_order, field=req, theta=req, theta2=req)
-    add("fibre", _cmd_fibre, field=req, A=req)
-    add("present", _cmd_present, field=req, A=req)
+    req, M = {"required": True}, parse_matrix
+    add("check", _cmd_check, field=req, B=M, theta=M, json={"action": "store_true"})
+    add("verify", _cmd_verify, field=req, theta=M, A=M, B=M)
+    add("normalize", _cmd_normalize, field=req, theta=M)
+    add("same-order", _cmd_same_order, field=req, theta=M, theta2=M)
+    add("fibre", _cmd_fibre, field=req, A=M)
+    add("present", _cmd_present, field=req, A=M)
     sweep = dict(family=req, field=req, i=req, j=req,
                  depth={"type": int, "default": None}, json={"action": "store_true"})
     add("enumerate", _cmd_enumerate, **sweep)
     add("oracle-check", _cmd_oracle_check, **sweep)
-    add("rank1", _cmd_rank1, field=req, b=req, i={"type": int, "required": True})
+    add("rank1", _cmd_rank1, field=req, b=parse_element, i={"type": int, "required": True})
     return parser
 
 
@@ -213,8 +204,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.fn(args, parse_field_spec(args.field))
-    except (ParseError, SingularMatrixError, ValueError, ZeroDivisionError) as exc:
+        spec = parse_field_spec(args.field)
+        values = [parse(_resolve(getattr(args, flag)), spec) for flag, parse in args.values]
+        return args.fn(args, spec, *values)
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BatchMismatchError as exc:

@@ -92,17 +92,17 @@ def canonical_theta(theta: RatFunc, j: int) -> RatFunc:
     v = int(v)
     if v == j:
         return RatFunc.pi_power(spec, j)
-    ar = spec.arith
     nu = theta.num.codes[int(theta.num.ord):]
     de = theta.den.codes[int(theta.den.ord):]
-    if len(de) > 1 and j - v > MAX_DEGREE:
+    if len(de) == 1:            # a T-power denominator: theta = T^v * nu, truncate nu
+        return _laurent(spec, v, list(nu[:j - v]))
+    if j - v > MAX_DEGREE:
         raise ValueError(f"the truncation of a non-Laurent theta to j - v(theta) = {j - v} "
                          f"terms exceeds the limit MAX_DEGREE = {MAX_DEGREE}")
+    ar = spec.arith
     inv0 = ar.inv(de[0])
     series: list[int] = []
     for t in range(j - v):
-        if t >= len(nu) and not any(series[max(0, t - len(de) + 1):]):
-            break               # theta is a Laurent polynomial: the rest is zero
         s = nu[t] if t < len(nu) else 0
         for s_idx in range(max(0, t - len(de) + 1), t):
             s = ar.sub(s, ar.mul(series[s_idx], de[t - s_idx]))

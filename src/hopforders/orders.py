@@ -48,6 +48,12 @@ def _term(coef: RatFunc, name: str) -> str:
     return name if coef.is_one() else f"{_factor(coef)}*{name}"
 
 
+def _terms(M: Mat, col: int, names: tuple[str, ...]) -> list[str]:
+    """The one linear-combination printer: the _term of each nonzero entry of
+    column col of M, with names[j] naming row j."""
+    return [_term(row[col], name) for row, name in zip(M.rows, names) if not row[col].is_zero()]
+
+
 def _default_gens(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
@@ -65,15 +71,8 @@ class Presentation:
 
     def relations(self) -> list[str]:
         p = self.A.spec.p
-        rels = []
-        for i, g in enumerate(self.gens):
-            rel = f"{g}^{p}"
-            for j, h in enumerate(self.gens):
-                c = self.A[j, i]
-                if not c.is_zero():
-                    rel += f" - {_term(c, h)}"
-            rels.append(rel)
-        return rels
+        return [" - ".join([f"{g}^{p}", *_terms(self.A, i, self.gens)])
+                for i, g in enumerate(self.gens)]
 
     def text(self) -> str:
         return f"R[{','.join(self.gens)}]/({', '.join(self.relations())})"
@@ -308,15 +307,7 @@ def ddl_normalize(theta: Mat) -> Mat:
 def embedding_generators(embedding: Embedding) -> list[str]:
     """Render the embedded generators, one K-linear combination per column."""
     theta = embedding.theta
-    out = []
-    for i in range(theta.n):
-        terms = []
-        for j, name in enumerate(embedding.target_gens):
-            c = theta[j, i]
-            if not c.is_zero():
-                terms.append(_term(c, name))
-        out.append(" + ".join(terms) if terms else "0")
-    return out
+    return [" + ".join(_terms(theta, i, embedding.target_gens)) or "0" for i in range(theta.n)]
 
 
 # -- special fibre: semilinear operator powers over F_q --

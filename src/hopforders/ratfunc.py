@@ -44,6 +44,8 @@ class Poly:
     __slots__ = ("spec", "codes")
 
     def __init__(self, spec: FieldSpec, coeffs: Sequence[FqElem]):
+        if any(c.spec != spec for c in coeffs):
+            raise ValueError("coefficient belongs to a different field spec")
         cs = [c.code for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
@@ -226,6 +228,8 @@ class Poly:
                 for i, y in enumerate(b, d):
                     rem[i] = sub(rem[i], mul(c, y))
         return Poly._raw(spec, tuple(q)), Poly._trimmed(spec, rem[:db])
+
+    __divmod__ = divmod
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]

@@ -282,6 +282,32 @@ def test_enumerate_alpha_p_n_counts():
     assert len({r.theta for r in records}) == len(records)
 
 
+def _counts_by_index(family, spec, top=5):
+    """a_m for m <= top: the number of orders with i + j = m (i, j >= 0) and
+    v(theta) >= 0, each cell swept at depth j + 1 so every such theta is reached."""
+    return [sum(rec.theta.val >= 0
+                for i in range(m + 1)
+                for rec in enumerate_orders(family, spec, [i], [m - i], depth=m - i + 1))
+            for m in range(top + 1)]
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5], ids=lambda s: f"F{s.q}")
+def test_alpha_p_n_counts_by_index(spec):
+    # B = 0 makes every DDL Theta an order: a_m = 1 + q + ... + q^m
+    q = spec.q
+    assert _counts_by_index(Family.ALPHA_P_N, spec) == [(q ** (m + 1) - 1) // (q - 1)
+                                                      for m in range(6)]
+
+
+def test_sigma_conjugate_families_have_equal_counts_by_index():
+    # over F_4, mono_p2 and zp_squared are conjugate by sigma (ROADMAP item 14); over
+    # F_2 they are not, so the counts there differ and the equality is no accident
+    assert _counts_by_index(Family.MONO_P2, F4) == [1, 3, 4, 8, 16, 20]
+    assert _counts_by_index(Family.ZP_SQUARED, F4) == [1, 3, 4, 8, 16, 20]
+    assert _counts_by_index(Family.MONO_P2, F2) == [1, 1, 2, 4, 4, 6]
+    assert _counts_by_index(Family.ZP_SQUARED, F2) == [1, 3, 4, 6, 10, 12]
+
+
 def test_enumerate_minimal_zp_squared():
     records = enumerate_orders(Family.ZP_SQUARED, F2, [0], [0], depth=4)
     assert len(records) == 1

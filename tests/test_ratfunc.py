@@ -59,6 +59,29 @@ def test_zero_denominator():
         RatFunc(P(F2, 1), P(F3, 1, 1))
 
 
+@pytest.mark.parametrize("spec, ext", [(F3, F9), (F2, F4)], ids=["F3-F9", "F2-F4"])
+def test_poly_refuses_coefficients_of_another_field(spec, ext):
+    msg = "^coefficient belongs to a different field spec$"
+    for target, coeffs in ((spec, [ext.gen, ext.one]), (spec, [spec.one, ext.one]),
+                           (ext, [ext.gen, spec.one])):
+        with pytest.raises(ValueError, match=msg):
+            Poly(target, coeffs)
+    equal = FieldSpec(spec.p)           # specs compare by value
+    assert equal is not spec and Poly(spec, [equal.one, equal.zero, equal.one]) == P(spec, 1, 0, 1)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4], ids=lambda s: f"F{s.q}")
+def test_builtin_divmod(spec):
+    rng = random.Random(28)
+    for _ in range(50):
+        a, b = rand_poly(rng, spec, 6), rand_poly(rng, spec, 3, nonzero=True)
+        q, r = divmod(a, b)
+        assert (q, r) == (a // b, a % b) == a.divmod(b)
+        assert q * b + r == a and r.degree < b.degree
+    with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+        divmod(rand_poly(rng, spec, 3), Poly.zero(spec))
+
+
 def test_zero_polynomial():
     for spec in (F2, F3, F4):
         zero = Poly.zero(spec)
