@@ -3,16 +3,19 @@ element argument with hopforders.parse, in the order its subcommand declares
 them; the handlers compute and print.
 
 Any matrix or element argument may be @file, reading the same grammar from a
-UTF-8 text file.  Exit codes: 0 mathematical yes/success, 1 mathematical no,
-2 usage or parse error, 3 internal error (the sweep kernel disagreed with
-the matrix oracle).
+UTF-8 text file of at most MAX_INPUT_CHARS characters.  Exit codes: 0
+mathematical yes/success, 1 mathematical no, 2 usage or parse error or a
+closed stdout, 3 internal error (the sweep kernel disagreed with the matrix
+oracle).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 from .families import (BatchMismatchError, Family, enumerate_orders, family_matrix,
@@ -21,6 +24,9 @@ from .orders import (NotIntegralError, ddl_normalize, embedding_generators,
                      is_ddl, order_from_theta, presentation_from_matrix,
                      same_order, special_fibre, verify_twisted_equation)
 from .parse import ParseError, parse_element, parse_field_spec, parse_matrix
+
+# The most characters an @file argument may hold.
+MAX_INPUT_CHARS = 2 ** 20
 
 
 def _parse_range(text: str) -> range:
@@ -36,12 +42,20 @@ def _parse_range(text: str) -> range:
 
 def _resolve(arg: str) -> str:
     """@file indirection for matrix/element arguments."""
-    if arg.startswith("@"):
-        try:
-            return Path(arg[1:]).read_text(encoding="utf-8").strip()
-        except OSError as exc:
-            raise ParseError(f"cannot read {arg[1:]!r}: {exc}") from exc
-    return arg
+    if not arg.startswith("@"):
+        return arg
+    limit = 4 * MAX_INPUT_CHARS         # bytes: a UTF-8 character takes at most 4
+    try:
+        with Path(arg[1:]).open("rb") as f:
+            raw = f.read(limit + 1)
+    except OSError as exc:
+        raise ParseError(f"cannot read {arg[1:]!r}: {exc}") from exc
+    # decoded whole, as Path.read_text decodes, so that a decoding error names the same position
+    text = "" if len(raw) > limit else TextIOWrapper(BytesIO(raw), encoding="utf-8").read()
+    if len(raw) > limit or len(text) > MAX_INPUT_CHARS:
+        raise ParseError(f"{arg[1:]!r} holds more than MAX_INPUT_CHARS = {MAX_INPUT_CHARS} "
+                         f"characters")
+    return text.strip()
 
 
 # -- commands --
@@ -216,7 +230,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:     # stdout's reader is gone; the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 2
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -89,25 +89,22 @@ def canonical_theta(theta: RatFunc, j: int) -> RatFunc:
     v = theta.val
     if v == INF or v > j:
         raise ValueError(f"DDL dominance requires v(theta) <= j = {j}, got v = {v}")
-    v = int(v)
+    v, n = int(v), j - int(v)
     if v == j:
         return RatFunc.pi_power(spec, j)
     nu = theta.num.codes[int(theta.num.ord):]
     de = theta.den.codes[int(theta.den.ord):]
     if len(de) == 1:            # a T-power denominator: theta = T^v * nu, truncate nu
-        return _laurent(spec, v, list(nu[:j - v]))
-    if j - v > MAX_DEGREE:
-        raise ValueError(f"the truncation of a non-Laurent theta to j - v(theta) = {j - v} "
+        return _laurent(spec, v, list(nu[:n]))
+    if n > MAX_DEGREE:
+        raise ValueError(f"the truncation of a non-Laurent theta to j - v(theta) = {n} "
                          f"terms exceeds the limit MAX_DEGREE = {MAX_DEGREE}")
-    ar = spec.arith
-    inv0 = ar.inv(de[0])
-    series: list[int] = []
-    for t in range(j - v):
-        s = nu[t] if t < len(nu) else 0
-        for s_idx in range(max(0, t - len(de) + 1), t):
-            s = ar.sub(s, ar.mul(series[s_idx], de[t - s_idx]))
-        series.append(ar.mul(s, inv0))
-    return _laurent(spec, v, series)
+    # nu/de = sum_t s_t T^t.  With x = 1/T and d = deg de, x^(n-1+d) nu(1/x) / (x^d de(1/x))
+    # = sum_t s_t x^(n-1-t), nu cut or padded to the n terms that s_0..s_(n-1) read: so the
+    # quotient of these reversed polynomials is s_0..s_(n-1) reversed, the remainder the rest.
+    head = nu[:n] + (0,) * (n - len(nu))
+    quotient = Poly._raw(spec, (0,) * (len(de) - 1) + head[::-1]) // Poly._raw(spec, de[::-1])
+    return _laurent(spec, v, list(quotient.codes[::-1]))
 
 
 @dataclass(frozen=True)
@@ -379,7 +376,9 @@ def _sweep(family, spec, i_range, j_range, depth, form, checks):
         depth = default_depth(spec.p)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    i_range, j_range = (r if hasattr(r, "__len__") else tuple(r) for r in (i_range, j_range))
+    # an iterable without len() is read to one value past MAX_SWEEP_CELLS, enough to breach it
+    i_range, j_range = (r if hasattr(r, "__len__") else
+                        tuple(itertools.islice(r, MAX_SWEEP_CELLS + 1)) for r in (i_range, j_range))
     try:            # past q^25 the limit is passed anyway: a huge depth builds no huge int
         points = len(i_range) * len(j_range) * spec.q ** min(depth, MAX_SWEEP_POINTS.bit_length())
     except OverflowError:           # a range of more than sys.maxsize values

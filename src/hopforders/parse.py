@@ -3,7 +3,7 @@
 Grammar (whitespace-insensitive):
   field spec   p=<prime>  or  p=<prime>;k=<deg>;mod=<poly in a>
   element      expressions in the uniformizer T over F_q with + - * / ^ ( ),
-               integer coefficients (k = 1) or polynomials in a (k > 1);
+               decimal integer coefficients (k = 1) or polynomials in a (k > 1);
                T^-2 is sugar for 1/T^2
   matrix       [entry,entry;entry,entry]  (rows by ';', entries by ',')
 
@@ -16,6 +16,8 @@ raises a ParseError that names the limit:
 """
 
 from __future__ import annotations
+
+import operator
 
 from .fields import FieldSpec
 from .matrix import Mat
@@ -35,38 +37,34 @@ class ParseError(ValueError):
 
 # -- tokenizer --
 
-_OPS = set("+-*/^()")
+# The kind of each one-character token; a number is a run of str.isdecimal, what int() reads
+_KIND = {"T": "name", "a": "name", **dict.fromkeys("+-*/^()", "op")}
 
 
 def _tokenize(src: str):
     tokens = []
     i, n = 0, len(src)
     while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            start = i
-            while i < n and src[i].isdigit():
+        c, start = src[i], i
+        i += 1
+        if c.isdecimal():
+            while i < n and src[i].isdecimal():
                 i += 1
             tokens.append(("num", int(src[start:i]), start))
-            continue
-        if c in ("T", "a"):
-            tokens.append(("name", c, i))
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+        elif c in _KIND:
+            tokens.append((_KIND[c], c, start))
+        elif not c.isspace():
+            raise ParseError(f"unexpected character {c!r}", start)
     tokens.append(("end", None, n))
     return tokens
 
 
 def _degree(x: RatFunc) -> int:
     return max(x.num.degree, x.den.degree)
+
+
+# operator.add and the rest look up the operand's method when they are called
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class _Parser:
@@ -90,11 +88,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, at = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", at)
-
     def bounded(self, value: RatFunc, at: int) -> RatFunc:
         if _degree(value) > MAX_DEGREE:
             raise ParseError(f"degree {_degree(value)} exceeds MAX_DEGREE = {MAX_DEGREE}", at)
@@ -107,29 +100,24 @@ class _Parser:
             raise ParseError("trailing input", at)
         return value
 
-    def expr(self) -> RatFunc:
-        value = self.term()
+    def binary(self, ops: str, operand) -> RatFunc:
+        """A left-associative chain of operands joined by the operators in `ops`."""
+        value = operand()
         while True:
             kind, val, at = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                value = self.bounded(value + rhs if val == "+" else value - rhs, at)
-            else:
+            if kind != "op" or val not in ops:
                 return value
+            self.next()
+            rhs = operand()
+            if val == "/" and rhs.is_zero():
+                raise ParseError("division by zero", at)
+            value = self.bounded(_BINARY[val](value, rhs), at)
+
+    def expr(self) -> RatFunc:
+        return self.binary("+-", self.term)
 
     def term(self) -> RatFunc:
-        value = self.unary()
-        while True:
-            kind, val, at = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                if val == "/" and rhs.is_zero():
-                    raise ParseError("division by zero", at)
-                value = self.bounded(value * rhs if val == "*" else value / rhs, at)
-            else:
-                return value
+        return self.binary("*/", self.unary)
 
     def unary(self) -> RatFunc:
         negate = False
@@ -154,15 +142,13 @@ class _Parser:
         return base
 
     def signed_int(self) -> int:
+        negate = self.peek()[:2] == ("op", "-")
+        if negate:
+            self.next()
         kind, val, at = self.next()
-        if kind == "op" and val == "-":
-            kind, val, at = self.next()
-            if kind != "num":
-                raise ParseError("expected an integer exponent", at)
-            return -val
         if kind != "num":
             raise ParseError("expected an integer exponent", at)
-        return val
+        return -val if negate else val
 
     def atom(self) -> RatFunc:
         kind, val, at = self.next()
@@ -181,7 +167,9 @@ class _Parser:
                 raise ParseError(f"parentheses nested deeper than MAX_NESTING = {MAX_NESTING}", at)
             self.nesting += 1
             value = self.expr()
-            self.expect_op(")")
+            kind, val, at = self.next()
+            if (kind, val) != ("op", ")"):
+                raise ParseError("expected ')'", at)
             self.nesting -= 1
             return value
         raise ParseError("expected a value", at)

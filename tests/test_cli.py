@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from hopforders.cli import (ParseError, main, parse_element, parse_field_spec,
-                            parse_matrix)
+from hopforders.cli import (MAX_INPUT_CHARS, ParseError, main, parse_element,
+                            parse_field_spec, parse_matrix)
 from hopforders.families import MAX_RECORDS, Family
 from hopforders.matrix import Mat
 from hopforders.parse import MAX_DEGREE, MAX_NESTING
@@ -90,6 +90,20 @@ def test_parse_element_errors():
         parse_element("%", F2)
     with pytest.raises(ParseError):
         parse_element("0^-1", F3)
+
+
+def test_digits_int_cannot_read_are_parse_errors(capsys):
+    """A number is a run of decimal digits (category Nd), what int() reads:
+    superscripts and circled digits are stray characters, with a position."""
+    for src, char in (("T\u00b2", "\u00b2"), ("2\u2075", "\u2075"), ("\u2460", "\u2460")):
+        with pytest.raises(ParseError, match=f"^unexpected character '{char}' at position "
+                                             f"{src.index(char)}$"):
+            parse_element(src, F2)
+    assert parse_element("\uff11", F3) == 1                    # fullwidth 1
+    assert parse_element("T^\uff11\u0662", F2) == pi(F2, 12)    # fullwidth 1, Arabic-Indic 2
+    assert main(["check", "--field", "p=2", "--B", "[T\u00b2]", "--theta", "[1]"]) == 2
+    assert capsys.readouterr().err == ("error: entry (1,1): unexpected character "
+                                       "'\u00b2' at position 1\n")
 
 
 def test_parser_limits():
@@ -224,6 +238,10 @@ def test_verify_command(capsys):
     code = main(["verify", "--field", "p=3", "--theta", "[T,0;0,1]",
                  "--A", "[T,0;0,1]", "--B", "[1,0;0,1]"])
     assert code == 1
+    capsys.readouterr()
+    assert main(["verify", "--field", "p=2", "--theta", "[1]", "--A", "[1,0;0,1]",
+                 "--B", "[1]"]) == 2
+    assert capsys.readouterr().err == "error: dimension mismatch\n"
 
 
 def test_normalize_command(capsys):
@@ -357,6 +375,14 @@ def test_at_file_indirection(tmp_path, capsys):
     assert main(["check", "--field", "p=2", "--B", WORKED_B,
                  "--theta", "@/nonexistent/file"]) == 2
     capsys.readouterr()
+    # MAX_INPUT_CHARS characters are read, blanks included; one more is refused
+    f.write_text("[1" + " " * (MAX_INPUT_CHARS - 3) + "]", encoding="utf-8")
+    assert main(["present", "--field", "p=2", "--A", f"@{f}"]) == 0
+    f.write_text("[1" + " " * (MAX_INPUT_CHARS - 2) + "]", encoding="utf-8")
+    assert main(["present", "--field", "p=2", "--A", f"@{f}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {str(f)!r} holds more than MAX_INPUT_CHARS = "
+                            f"{MAX_INPUT_CHARS} characters\n")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -399,6 +425,22 @@ def test_module_entry_point_is_quiet():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "integral: yes" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["hopforders", "hopforders.cli"])
+def test_closed_stdout_exits_2_without_a_traceback(module):
+    """`enumerate ... | head -1`: the reader closes stdout after one line, and
+    the entry point exits 2 with nothing on stderr."""
+    import hopforders
+    env = {"PYTHONPATH": str(Path(hopforders.__file__).parents[1]), "PATH": ""}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", module, "enumerate", "--family", "alpha_p_n", "--field", "p=2",
+         "--i", "0..3", "--j", "0..3", "--depth", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"family=alpha_p_n p=2 i=0 j=0 ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (2, b"")
 
 
 def test_non_sweep_commands_never_load_numpy():
@@ -451,6 +493,8 @@ def test_resource_limits_exit_2(capsys):
           "--theta", "[1+T^512,0;1,T^512]"], "MAX_TWIST_DEGREE"),
         (["check", "--field", "p=65521", "--B", "[1]", "--theta", "[T^512]"],
          "MAX_TWIST_DEGREE"),
+        (["check", "--field", "p=2", "--B", "[1]", "--theta", "@/dev/zero"],
+         "'/dev/zero' holds more than MAX_INPUT_CHARS = 1048576 characters"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import tracemalloc
@@ -16,7 +17,7 @@ from hopforders.orders import NotIntegralError, order_from_theta, same_order
 from hopforders.parse import MAX_DEGREE
 from hopforders.ratfunc import Poly, RatFunc
 
-from helpers import F2, F3, F4, F5, F9, brute_force_points, pi
+from helpers import F2, F3, F4, F5, F9, brute_force_points, pi, rand_nonzero_ratfunc
 
 
 def rec(family, spec, i, j, theta):
@@ -54,6 +55,20 @@ def test_canonical_theta_truncates_series():
     # 1/(1+T) = 1 + T + T^2 + ... over F_2; truncated below T^3
     theta = one(F2) / (one(F2) + pi(F2))
     assert canonical_theta(theta, 3) == RatFunc.from_poly(Poly.from_ints(F2, [1, 1, 1]))
+
+
+def test_canonical_theta_is_the_truncated_series():
+    """For every theta, general denominators included, canonical_theta is the
+    Laurent polynomial on [v(theta), j) that agrees with theta below T^j."""
+    rng = random.Random(30)
+    for spec in (F2, F3, F4, F9):
+        for _ in range(60):
+            theta = rand_nonzero_ratfunc(rng, spec, 4) * pi(spec, rng.randrange(-3, 4))
+            j = int(theta.val) + rng.randrange(1, 40)
+            canon = canonical_theta(theta, j)
+            assert (theta - canon).val >= j
+            assert canon.den.codes == Poly.monomial(spec, max(0, -int(theta.val))).codes
+            assert canon.val == theta.val and canon.num.degree - canon.den.degree < j
 
 
 def test_canonical_theta_laurent():
@@ -494,6 +509,7 @@ def test_sweep_cell_count_and_degree_limits_refuse_before_any_work(monkeypatch):
     for spec, i_range, j_range, limit in (
             (F2, range(-170, 171), range(-170, 171), "MAX_SWEEP_CELLS"),   # 341^2 cells
             (F3, range(2 ** 14 + 1), [0], "MAX_SWEEP_CELLS"),
+            (F2, itertools.count(), [0], "MAX_SWEEP_CELLS"),       # read to 2^14 + 1 values
             (F2, [10 ** 9], [0], "MAX_DEGREE"),
             (F2, [0], [-171], "MAX_DEGREE"),                               # 3 * 171 = 513
             (F3, [0, 129], [0], "MAX_DEGREE")):                            # 4 * 129 = 516

@@ -81,12 +81,14 @@ def test_polynomial_with_an_int_is_a_type_error(spec):
 @kind_param
 @pytest.mark.parametrize("foreign", [1.5, "1"], ids=["float", "str"])
 def test_foreign_operand_is_a_type_error(kind, spec, foreign):
+    """Arithmetic with a float or a str raises TypeError; equality is False."""
     x = nonzero_samples(kind, spec)[0]
     for op in (operator.sub, operator.truediv):
         with pytest.raises(TypeError):
             op(x, foreign)
         with pytest.raises(TypeError):
             op(foreign, x)
+    assert (x == foreign) is False and (x != foreign) is True
 
 
 @spec_param
