@@ -5,8 +5,8 @@ them; the handlers compute and print.
 Any matrix or element argument may be @file, reading the same grammar from a
 UTF-8 text file of at most MAX_INPUT_CHARS characters.  Exit codes: 0
 mathematical yes/success, 1 mathematical no, 2 usage or parse error or a
-closed stdout, 3 internal error (the sweep kernel disagreed with the matrix
-oracle).
+closed stdout, 3 internal error (the sweep's cylinder walk disagreed with the
+matrix oracle).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .families import (BatchMismatchError, Family, enumerate_orders, family_matr
 from .orders import (NotIntegralError, ddl_normalize, embedding_generators,
                      is_ddl, order_from_theta, presentation_from_matrix,
                      same_order, special_fibre, verify_twisted_equation)
-from .parse import ParseError, parse_element, parse_field_spec, parse_matrix
+from .parse import ParseError, parse_element, parse_field_spec, parse_int, parse_matrix
 
 # The most characters an @file argument may hold.
 MAX_INPUT_CHARS = 2 ** 20
@@ -32,12 +32,20 @@ MAX_INPUT_CHARS = 2 ** 20
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
-        lo_v, hi_v = int(lo), int(hi if sep else lo)
-    except ValueError as exc:
+        lo_v, hi_v = parse_int(lo), parse_int(hi if sep else lo)
+    except ParseError as exc:
         raise ParseError(f"bad range {text!r} (use lo..hi)") from exc
     if hi_v < lo_v:
         raise ParseError(f"empty range {text!r}")
     return range(lo_v, hi_v + 1)
+
+
+def _int_arg(text: str) -> int:
+    """An integer flag's value, read by the grammar's integer rule."""
+    try:
+        return parse_int(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _resolve(arg: str) -> str:
@@ -204,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("fibre", _cmd_fibre, field=req, A=M)
     add("present", _cmd_present, field=req, A=M)
     sweep = dict(family=req, field=req, i=req, j=req,
-                 depth={"type": int, "default": None}, json={"action": "store_true"})
+                 depth={"type": _int_arg, "default": None}, json={"action": "store_true"})
     add("enumerate", _cmd_enumerate, **sweep)
     add("oracle-check", _cmd_oracle_check, **sweep)
-    add("rank1", _cmd_rank1, field=req, b=parse_element, i={"type": int, "required": True})
+    add("rank1", _cmd_rank1, field=req, b=parse_element, i={"type": _int_arg, "required": True})
     return parser
 
 

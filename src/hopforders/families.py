@@ -5,7 +5,7 @@ inside it is identified by a canonical record (i, j, theta) standing for the
 DDL embedding Theta = [[T^i, 0], [theta, T^j]].  Ground truth for membership
 is always the matrix oracle (the integrality test of order_from_theta); the
 closed-form predicates are fast integer/valuation conditions, each written
-once for a record and a sweep grid, that must agree with the oracle
+once for a record and a sweep cylinder, that must agree with the oracle
 everywhere, and `oracle_check_family` machine-checks that agreement over a
 finite grid.
 
@@ -177,7 +177,7 @@ def oracle_is_order(record: OrderRecord) -> bool:
 def _closed_form(family, p, i, j, theta, T):
     """The closed form of `family`, with T(e) = T^e.  Conditions combine with
     `&`, so the same text runs on a record (RatFunc theta, int v) and on a
-    sweep grid (Laurent theta, array v)."""
+    sweep cylinder (_walk.Laurent theta, v exact or a bound, `&` Kleene's)."""
     if family is Family.ALPHA_P_N:
         return True
     v, twist = theta.val, theta.pth_power       # twist() = theta^(p)
@@ -189,7 +189,7 @@ def _closed_form(family, p, i, j, theta, T):
     if family is Family.ZP_SQUARED:
         bounds = (i >= 0) & (j >= 0)
         return bounds is not False and bounds & ((twist() - T((p - 1) * i) * theta).val >= j)
-    # mono_p2; a grid cell whose scalar bound p*j >= i fails skips the twist as well
+    # mono_p2; a cylinder whose scalar bound p*j >= i fails skips the twist as well
     bounds = p * j >= i and (p * v >= i)
     return bounds is not False and bounds & ((T((p + 1) * i) - twist() * theta).val >= i + j)
 
@@ -244,7 +244,7 @@ def _values(rng_desc: str, values: Iterable[int]) -> tuple[int, ...]:
 def _record_from_row(family: Family, spec: FieldSpec,
                      row: int, i: int, j: int, depth: int) -> OrderRecord:
     """The record of a sweep row: its base-q digits are the codes of the
-    coefficients of theta at exponents [j-depth, j), as in _batch.CellGrid.
+    coefficients of theta at exponents [j-depth, j), as in _walk.cylinders.
     Row 0, theta = 0, gives the T^j record: Theta = diag(T^i, T^j) names the
     order of [[T^i, 0], [T^j, T^j]] = diag(T^i, T^j) @ U for the unit
     U = [[1, 0], [1, 1]], as Theta and Theta @ U name the same order."""
@@ -256,20 +256,17 @@ def _record_from_row(family: Family, spec: FieldSpec,
     return OrderRecord(family, spec.p, i, j, theta)
 
 
-# The rows of one block of a cell that the kernel decides at once, so that
-# memory does not grow with the depth.
-KERNEL_ROWS = 2 ** 12
 # The most points a whole sweep may cover: len(i) * len(j) * q^depth, which
 # bounds its time, and so the q^depth points of one cell too.
 MAX_SWEEP_POINTS = 2 ** 24
 # The most (i, j) cells a whole sweep may cover: len(i) * len(j), as each cell
-# costs a kernel pass whatever its size.  MAX_DEGREE bounds (p+1) * max(|i|, |j|),
+# costs a walk whatever its size.  MAX_DEGREE bounds (p+1) * max(|i|, |j|),
 # the degree of the T-powers a cell builds.
 MAX_SWEEP_CELLS = 2 ** 14
 # The most records a whole sweep may return, checked before a cell builds any.
 MAX_RECORDS = 2 ** 16
 
-# The cross-check policy of the kernel's verdicts, on every field: every row
+# The cross-check policy of the walk's verdicts, on every field: every row
 # of a cell of at most EXHAUSTIVE_LIMIT rows is re-decided by the object
 # oracle, else SPOT_CHECKS seeded rows (ENUM_SPOT_CHECKS in enumerate_orders).
 EXHAUSTIVE_LIMIT = 4096
@@ -334,7 +331,7 @@ class AgreementReport:
 
 
 class BatchMismatchError(RuntimeError):
-    """The vectorized sweep disagreed with the object-level path (a bug)."""
+    """The cylinder walk disagreed with the object-level path (a bug)."""
 
 
 def _sample_rows(n: int, spot: int, seed_parts) -> list[int]:
@@ -343,13 +340,6 @@ def _sample_rows(n: int, spot: int, seed_parts) -> list[int]:
     while len(rows) < min(spot, n - 1):
         rows.add(rng.randrange(1, n))
     return sorted(rows)
-
-
-def _predicate_column(grid, family: Family, form):
-    """The verdict of the closed form `form` on every row of the grid."""
-    import numpy as np
-    return np.broadcast_to(form(family, grid.p, grid.i, grid.j, grid.theta, grid.pi_power),
-                           grid.n)
 
 
 def _sweep(family, spec, i_range, j_range, depth, form, checks):
@@ -365,11 +355,12 @@ def _sweep(family, spec, i_range, j_range, depth, form, checks):
     whose records would take `found` past MAX_RECORDS raises ValueError
     before it builds any of them.
 
-    Every field runs the numpy kernel on every point, KERNEL_ROWS rows at a
-    time, and with checks = (limit, spot, tag) the object path re-decides
-    every row of a cell with at most `limit` rows, else row 0 and `spot` rows
-    seeded by (family, p, i, j, depth, tag), plus every disagreement when a
-    closed form is checked; any difference raises BatchMismatchError.
+    Every field decides each cell by _walk.cylinders, and with checks =
+    (limit, spot, tag) the object path re-decides every row of a cell with at
+    most `limit` rows, else row 0 and `spot` rows seeded by (family, p, i, j,
+    depth, tag), plus every disagreement when a closed form is checked; a
+    difference from the verdict of the row's cylinder raises
+    BatchMismatchError.
     """
     family = Family(family)
     if depth is None:
@@ -397,9 +388,8 @@ def _sweep(family, spec, i_range, j_range, depth, form, checks):
     if degree > MAX_DEGREE:
         raise ValueError(f"(p+1) * max(|i|, |j|) = {degree} exceeds the limit "
                          f"MAX_DEGREE = {MAX_DEGREE}; pass smaller exponents (--i, --j)")
-    import numpy as np              # numpy loads with the first sweep
-    from . import _batch
-    B, n = _FAMILY_B[family], spec.q ** depth
+    from . import _walk             # the walk loads with the first sweep
+    q, B, n = spec.q, _FAMILY_B[family], spec.q ** depth
     limit, spot, tag = checks
     total = 0
     found: list[tuple[OrderRecord, bool, bool | None]] = []
@@ -407,34 +397,34 @@ def _sweep(family, spec, i_range, j_range, depth, form, checks):
         if family is Family.ZP_SQUARED and (i < 0 or j < 0):
             continue  # this family's predicate requires i, j >= 0
         record = functools.partial(_record_from_row, family, spec, i=i, j=j, depth=depth)
-        orc, prd = np.empty(n, bool), None if form is None else np.empty(n, bool)
-        for start in range(0, n, KERNEL_ROWS):
-            grid = _batch.CellGrid(spec, i, j, depth, range(start, min(start + KERNEL_ROWS, n)))
-            orc[start:start + grid.n] = _batch.oracle_verdicts(grid, B)
-            if prd is not None:
-                prd[start:start + grid.n] = _predicate_column(grid, family, form)
-        mask = orc if prd is None else orc != prd
-        if len(found) + np.count_nonzero(mask) > MAX_RECORDS:
+        cell_form = None if form is None else functools.partial(form, family, spec.p, i, j)
+        walk = {(k, base): [orc, prd]
+                for k, base, orc, prd in _walk.cylinders(spec, B, i, j, depth, cell_form)}
+        picked = [key for key, (orc, prd) in walk.items() if (orc if form is None else orc != prd)]
+        if len(found) + sum(n // q ** k for k, _ in picked) > MAX_RECORDS:
             raise ValueError(f"the records of a sweep exceed the limit MAX_RECORDS = "
                              f"{MAX_RECORDS}; pass a smaller depth or ranges (--depth, --i, --j)")
         # theta rows ascending, then row 0: a cell lists its T^j record last
-        disputed = (mask[1:].nonzero()[0] + 1).tolist() + ([0] if mask[0] else [])
+        disputed = sorted(itertools.chain.from_iterable(range(b, n, q ** k) for k, b in picked),
+                          key=lambda row: row or n)
         if n <= limit:
             rows = range(n)
         else:
             rows = [0] + _sample_rows(n, spot, (family.value, spec.p, i, j, depth, tag))
-        if prd is not None:
+        if form is not None:
             rows = sorted(set(rows).union(disputed))
         decided = {}
         for row in rows:
             rec = record(row)
             verdicts = [oracle_is_order(rec), None if form is None else _at_record(form, rec)]
-            batch = [bool(orc[row]), None if prd is None else bool(prd[row])]
+            # the cylinders partition the rows: one holds the row's k lowest digits
+            batch = next(walk[key] for key in ((k, row % q ** k) for k in range(depth + 1))
+                         if key in walk)
             if verdicts != batch:
                 raise BatchMismatchError(f"batch/object mismatch at {rec.to_json()}: (oracle, "
                                          f"predicate) = {verdicts} object, {batch} batch")
             decided[row] = (rec, *verdicts)
-        # with no predicate, a row not sampled is one the kernel's oracle accepts
+        # with no predicate, a row not sampled is one the walk's oracle accepts
         found += [decided.get(row) or (record(row), True, None) for row in disputed]
         total += n
     return family, depth, i_values, j_values, total, found
@@ -447,7 +437,7 @@ def oracle_check_family(family: Family, spec: FieldSpec,
                         ) -> AgreementReport:
     """Compare predicate vs oracle at every grid point; report disagreements.
 
-    Every field runs the vectorized kernels, cross-checked against the
+    Every field runs the cylinder walk, cross-checked against the
     object-level oracle/predicate exhaustively when a cell has at most
     EXHAUSTIVE_LIMIT points and on SPOT_CHECKS seeded samples otherwise;
     every disagreement is confirmed on the object path and a mismatch raises
@@ -472,7 +462,7 @@ def enumerate_orders(family: Family, spec: FieldSpec,
 
     The sweep covers theta = T^j plus every nonzero Laurent polynomial
     supported on [j - depth, j); distinct canonical records are distinct
-    orders, so no further dedupe is needed.  The kernel's verdicts are
+    orders, so no further dedupe is needed.  The walk's verdicts are
     spot-checked on ENUM_SPOT_CHECKS seeded rows per cell.
     Deterministic order: (i, j, canonical theta).
     """

@@ -10,8 +10,7 @@ where d_0 + d_1 a + ... + d_{k-1} a^(k-1) is its power-basis form; 0 is zero,
 code arithmetic, the primitives add, sub, mul, inv and frob with neg derived:
 plain ints mod p for k = 1; for k > 1 log/antilog tables to a primitive
 element, built once on first use, serve mul, inv and frob, and add is XOR for
-p = 2 and digit-wise mod p for odd p.  Every table has O(q) entries.  The same
-operations run on int codes and on the sweep kernel's numpy columns.
+p = 2 and digit-wise mod p for odd p.  Every table has O(q) entries.
 :class:`FqElem` is the immutable element at the API edge, on the same code
 arithmetic; _FIELD_OPS derives its -, / and ** and RatFunc's alike, and
 _poly_text prints every polynomial.
@@ -113,13 +112,12 @@ def _tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[list, list, list]
 
 class _Arith:
     """Code arithmetic of one field: the primitives add, sub, mul, inv and frob
-    (x -> x^p), and neg = sub(0, .); element powers go through Poly.__pow__.
-    Each runs alike on int codes and on numpy int64 columns of codes (inv for
-    k > 1 only), given numpy `tables` (see _tables).  Callers check x != 0 before inv."""
+    (x -> x^p), and neg = sub(0, .), on int codes; element powers go through
+    Poly.__pow__.  Callers check x != 0 before inv."""
 
     __slots__ = ("p", "add", "sub", "neg", "mul", "inv", "frob", "log", "exp")
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None, tables=None):
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
         self.p = p
         if k == 1:
             self.log = self.exp = None
@@ -129,7 +127,7 @@ class _Arith:
             self.inv = lambda x: pow(x, p - 2, p)
             self.frob = lambda x: x
         else:
-            log, exp, frobs = tables or _tables(p, k, modulus)
+            log, exp, frobs = _tables(p, k, modulus)
             n = p ** k - 1
             self.log, self.exp = log, exp
             self.mul = lambda x, y: exp[log[x] + log[y]]

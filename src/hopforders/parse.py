@@ -1,6 +1,7 @@
 """The expression grammar: field specs, elements of K and matrices.
 
 Grammar (whitespace-insensitive):
+  integer      an optional - and a run of decimal digits (str.isdecimal)
   field spec   p=<prime>  or  p=<prime>;k=<deg>;mod=<poly in a>
   element      expressions in the uniformizer T over F_q with + - * / ^ ( ),
                decimal integer coefficients (k = 1) or polynomials in a (k > 1);
@@ -35,9 +36,22 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def parse_int(text: str, at: int | None = None) -> int:
+    """The grammar's integer, at position `at` of its source: int() alone would
+    also take a '+', '_' or blanks, and raise a bare ValueError on more digits
+    than sys.get_int_max_str_digits()."""
+    digits = text[1:] if text.startswith("-") else text
+    if not digits.isdecimal():
+        raise ParseError(f"bad integer {text!r}", at)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long", at) from None
+
+
 # -- tokenizer --
 
-# The kind of each one-character token; a number is a run of str.isdecimal, what int() reads
+# The kind of each one-character token; a number is a run of str.isdecimal, read by parse_int
 _KIND = {"T": "name", "a": "name", **dict.fromkeys("+-*/^()", "op")}
 
 
@@ -50,7 +64,7 @@ def _tokenize(src: str):
         if c.isdecimal():
             while i < n and src[i].isdecimal():
                 i += 1
-            tokens.append(("num", int(src[start:i]), start))
+            tokens.append(("num", parse_int(src[start:i], start), start))
         elif c in _KIND:
             tokens.append((_KIND[c], c, start))
         elif not c.isspace():
@@ -246,10 +260,9 @@ def parse_field_spec(text: str) -> FieldSpec:
     if "p" not in fields:
         raise ParseError("field spec needs p=<prime>")
     try:
-        p = int(fields["p"])
-        k = int(fields.get("k", "1"))
-    except ValueError as exc:
-        raise ParseError(f"bad integer in field spec: {exc}") from exc
+        p, k = parse_int(fields["p"]), parse_int(fields.get("k", "1"))
+    except ParseError as exc:
+        raise ParseError(f"field spec: {exc}") from exc
     modulus = None
     if "mod" in fields:
         modulus = _parse_modulus(fields["mod"], _field_spec(p))

@@ -1,4 +1,4 @@
-"""The vectorized sweep must be indistinguishable from the object-level path.
+"""The cylinder walk must be indistinguishable from the object-level path.
 
 These tests compare full grids point by point across primes, depths and
 families, including negative j, so any divergence between the two
@@ -6,19 +6,21 @@ implementations of the oracle computation fails loudly here (beyond the
 in-run cross-checks the sweep already performs).
 """
 
+import functools
 import hashlib
+import random
 import tracemalloc
 
-import numpy as np
 import pytest
 
-from hopforders import _batch, families
+from hopforders import _walk, families
 from hopforders.cli import main
 from hopforders.families import (Family, OrderRecord, _record_from_row,
                                  alpha_p2_loose_predicate, enumerate_orders,
                                  oracle_check_family, oracle_is_order, predicate)
 from hopforders.fields import FieldSpec
 from hopforders.matrix import Mat
+from hopforders.ratfunc import INF, RatFunc
 
 from helpers import F2, F3, F4, F5, F8, F9, F25, brute_force_points
 
@@ -39,23 +41,36 @@ B_INTS = {
 }
 
 
+def _held(spec, depth, cylinders):
+    """Each row of the cell with the cylinder that holds it, checking that the
+    cylinders partition the q^depth rows."""
+    n, held = spec.q ** depth, {}
+    for cyl in cylinders:
+        k, base = cyl[:2]
+        for row in range(base, n, spec.q ** k):
+            assert row not in held, (row, cyl, held[row])
+            held[row] = cyl
+    assert len(held) == n
+    return held
+
+
 @pytest.mark.parametrize("spec", [F2, F3, F5, F7, F4, F8, F9, F25])
 @pytest.mark.parametrize("family", MATRIX_FAMILIES)
 def test_full_grid_oracle_equivalence(spec, family):
-    p = spec.p
+    """Every row lies in one cylinder, whose verdict is the oracle's."""
     cases = [(1 if spec is F25 else 3 if spec.q in (2, 4) else 2, (-1, 0, 2, 5))]
     if spec is F3:
         cases.append((3, (-3, -1)))     # negative i at depth 3
     for depth, i_values in cases:
         for i in i_values:
             for j in (-2, 0, 1, 3):
-                grid = _batch.CellGrid(spec, i, j, depth, range(spec.q ** depth))
-                fast = _batch.oracle_verdicts(grid, B_INTS[family])
-                for row in range(grid.n):       # row 0, theta = 0, is the T^j record
+                held = _held(spec, depth, _walk.cylinders(spec, B_INTS[family], i, j, depth))
+                for row, cyl in held.items():   # row 0, theta = 0, is the T^j record
                     rec = _record_from_row(family, spec, row, i, j, depth)
-                    assert oracle_is_order(rec) == bool(fast[row]), rec.to_json()
+                    assert oracle_is_order(rec) == cyl[2], rec.to_json()
                 if family is Family.ZP_SQUARED and (i < 0 or j < 0):
-                    assert not fast.any()       # the cells the sweep skips hold no order
+                    # the cells the sweep skips hold no order
+                    assert not any(cyl[2] for cyl in held.values())
 
 
 @pytest.mark.parametrize("spec", [F2, F3, F4, F8, F9, F25])
@@ -69,46 +84,38 @@ def test_full_grid_predicate_twin_equivalence(spec, family):
         for j in (-2, 0, 2):
             if family is Family.ZP_SQUARED and (i < 0 or j < 0):
                 continue
-            grid = _batch.CellGrid(spec, i, j, depth, range(spec.q ** depth))
-
             def record(row):
                 return _record_from_row(family, spec, row, i, j, depth)
 
             for pred in preds:
-                column = families._predicate_column(grid, family, FORMS[pred])
-                assert len(column) == grid.n
-                for row in range(grid.n):
-                    assert pred(record(row)) == bool(column[row]), record(row).to_json()
+                form = functools.partial(FORMS[pred], family, spec.p, i, j)
+                held = _held(spec, depth, _walk.cylinders(spec, B_INTS[family], i, j, depth,
+                                                          form))
+                for row, cyl in held.items():
+                    assert pred(record(row)) == cyl[3], record(row).to_json()
 
 
 @pytest.mark.parametrize("spec, depth", [(F3, 8), (F2, 13)])
 @pytest.mark.parametrize("family", MATRIX_FAMILIES)
 def test_blocks_across_a_boundary_match_one_grid(spec, depth, family):
-    """A cell decided in blocks of KERNEL_ROWS rows, the last one partial
-    over F_3 (3^8 = 6561 rows), gives the verdicts of one grid of all its
-    rows; the oracle agrees on each side of the block boundary, and the
-    closed form's blocks agree with `predicate` on every row."""
-    n, size, i, j = spec.q ** depth, families.KERNEL_ROWS, 2, 2
-    blocks = [_batch.CellGrid(spec, i, j, depth, range(s, min(s + size, n)))
-              for s in range(0, n, size)]
-    assert size == 4096 and len(blocks) == 2 and blocks[-1].n == n - size
-    B = B_INTS[family]
-    whole = _batch.oracle_verdicts(_batch.CellGrid(spec, i, j, depth, range(n)), B)
-    fast = np.concatenate([_batch.oracle_verdicts(g, B) for g in blocks])
-    assert np.array_equal(fast, whole)
+    """A cell of more than 2^12 rows, 3^8 = 6561 over F_3: its cylinders
+    partition the rows, the oracle agrees with them on each side of row 2^12,
+    and the closed form's cylinders agree with `predicate` on every row."""
+    n, i, j = spec.q ** depth, 2, 2
 
     def record(row):
         return _record_from_row(family, spec, row, i, j, depth)
 
-    for row in (0, size - 1, size, n - 1):
-        assert oracle_is_order(record(row)) == bool(fast[row]), record(row).to_json()
-    column = np.concatenate([families._predicate_column(g, family, families._closed_form)
-                             for g in blocks])
-    assert [predicate(record(row)) for row in range(n)] == column.tolist()
+    held = _held(spec, depth, _walk.cylinders(spec, B_INTS[family], i, j, depth))
+    for row in (0, 4095, 4096, n - 1):
+        assert oracle_is_order(record(row)) == held[row][2], record(row).to_json()
+    form = functools.partial(families._closed_form, family, spec.p, i, j)
+    held = _held(spec, depth, _walk.cylinders(spec, B_INTS[family], i, j, depth, form))
+    assert [predicate(record(row)) for row in range(n)] == [held[row][3] for row in range(n)]
 
 
 # SHA-256 of the --json stdout of mono_p2 over F_3 at i, j in -1..1 and depth
-# 9: 3^9 = 19683 rows per cell, five blocks, the last one partial
+# 9: 3^9 = 19683 rows per cell, each cross-checked on seeded rows
 BLOCK_DIGESTS = {
     "oracle-check": "6a6c062812720cf9d37bb9acc085038fdd85a65b347f567c2d2cfcd452317acf",
     "enumerate": "a4ac9cbd0d7a09caa06254b9bc86e4135457acb14405c200afd8eb0ea61b9759",
@@ -137,14 +144,6 @@ def test_sweep_memory_does_not_grow_with_depth():
     assert peak < 16 * 2 ** 20, peak
 
 
-def test_grid_valuations_match_records():
-    grid = _batch.CellGrid(F3, 0, 1, 3, range(27))
-    for row in range(1, grid.n):
-        rec = _record_from_row(Family.ALPHA_P_N, F3, row, 0, 1, 3)
-        assert rec.theta.val == int(grid.theta.val[row])
-    assert grid.theta.val[0] == _batch.BIG
-
-
 def test_enumerate_batch_matches_generic():
     for family in MATRIX_FAMILIES:
         fast = enumerate_orders(family, F2, range(-1, 3), range(-1, 3), depth=3)
@@ -162,6 +161,20 @@ def test_report_batch_matches_generic_with_disagreements():
     assert fast.total == len(slow)
     assert fast.agreements == sum(orc == prd for _, orc, prd in slow)
     assert [d.record for d in fast.disagreements] == [r for r, orc, prd in slow if orc != prd]
+
+
+def test_grid_valuations_match_records():
+    """A form left UNKNOWN until theta is exact makes the walk split down to
+    single rows, where theta's valuation is the record's, and row 0's
+    theta = 0 has valuation INF."""
+    def exact_val(theta, T):
+        return theta.val if theta.prec == INF else _walk.UNKNOWN
+
+    cyls = _walk.cylinders(F3, B_INTS[Family.ALPHA_P_N], 0, 1, 3, exact_val)
+    assert sorted(base for k, base, _, _ in cyls if k == 3) == list(range(27))
+    for _, row, _, v in cyls:
+        rec = _record_from_row(Family.ALPHA_P_N, F3, row, 0, 1, 3)
+        assert v == (INF if row == 0 else rec.theta.val)
 
 
 def test_extension_field_sweeps_agree():
@@ -193,14 +206,15 @@ def test_family_matrix_is_the_one_preset_table():
 
 
 def test_mono_p2_column_skips_the_twist_when_pj_below_i(monkeypatch):
-    """A grid cell with p*j < i fails on every row: its closed-form column is
-    decided without theta^(p)."""
+    """A cell with p*j < i fails on every row: the closed form decides the
+    cylinder of all its rows, theta = O(T^(j - depth)), without theta^(p)."""
     def no_twist(self):
         raise AssertionError("theta^(p) built for a cell whose bound fails")
-    monkeypatch.setattr(_batch.Laurent, "pth_power", no_twist)
-    grid = _batch.CellGrid(F3, 4, 1, 3, range(27))
-    column = families._predicate_column(grid, Family.MONO_P2, families._closed_form)
-    assert column.shape == (27,) and not column.any()
+    monkeypatch.setattr(_walk.Laurent, "pth_power", no_twist)
+    ar = F3.arith
+    theta = _walk.Laurent(ar, {}, 1 - 3)
+    assert families._closed_form(Family.MONO_P2, 3, 4, 1, theta,
+                                 lambda e: _walk.Laurent(ar, {e: 1})) is False
 
 
 def _count_calls(monkeypatch, owner, name, fn=None):
@@ -239,7 +253,52 @@ def test_cross_check_policy_call_counts(monkeypatch):
 
 @pytest.mark.parametrize("spec", [F2, F3, F4, F9])
 def test_kernel_runs_on_every_field(monkeypatch, spec):
-    grids = _count_calls(monkeypatch, _batch, "CellGrid")
+    grids = _count_calls(monkeypatch, _walk, "cylinders")
     oracle_check_family(Family.MONO_P2, spec, [0, 1], [0], depth=2)
     enumerate_orders(Family.MONO_P2, spec, [0, 1], [0], depth=2)
     assert len(grids) == 4
+
+
+def _coefficients(x: RatFunc) -> dict:
+    """{e: code} of a Laurent polynomial, whose denominator is a power of T."""
+    shift = x.den.degree
+    assert x.den == RatFunc.pi_power(x.spec, shift).num
+    return {e - shift: c for e, c in enumerate(x.num.codes) if c}
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
+def test_precision_rules_claim_only_true_coefficients(spec):
+    """For random prefixes theta = P + O(T^m) and random completions of them,
+    every coefficient that +, -, * and the twist claim as known is the exact
+    result's, and a valuation bound holds."""
+    rng = random.Random(f"precision|{spec.spec_text()}")
+    ar, q = spec.arith, spec.q
+
+    def prefix():
+        prec = INF if rng.random() < 0.2 else rng.randint(-4, 4)
+        top = 3 if prec == INF else prec
+        terms = {e: c for e in range(top - rng.randint(0, 4), top) if (c := rng.randrange(q))}
+        return _walk.Laurent(ar, terms, prec)
+
+    def completion(x):
+        tail = [] if x.prec == INF else range(x.prec, x.prec + rng.randint(0, 5))
+        terms = {**x.terms, **{e: rng.randrange(q) for e in tail}}
+        return sum((RatFunc.constant(spec, spec._make(c)) * RatFunc.pi_power(spec, e)
+                    for e, c in terms.items()), RatFunc.zero(spec))
+
+    for _ in range(150):
+        x, y = prefix(), prefix()
+        for _ in range(4):
+            X, Y = completion(x), completion(y)
+            for claimed, exact in ((x + y, X + Y), (x - y, X - Y), (x * y, X * Y),
+                                   (x.pth_power(), X.pth_power())):
+                known, coeffs = claimed.terms, _coefficients(exact)
+                assert all(c and e < claimed.prec for e, c in known.items())
+                for e in set(known) | set(coeffs):
+                    if e < claimed.prec:
+                        assert known.get(e, 0) == coeffs.get(e, 0), (e, known, coeffs)
+                v = claimed.val
+                if isinstance(v, _walk._AtLeast):
+                    assert exact.val >= v.bound
+                else:
+                    assert exact.val == v

@@ -106,6 +106,15 @@ def test_digits_int_cannot_read_are_parse_errors(capsys):
                                        "'\u00b2' at position 1\n")
 
 
+
+def test_digit_run_past_int_limit_is_a_parse_error():
+    """int() refuses a run of more than sys.get_int_max_str_digits() digits;
+    the grammar reports it with the run's position."""
+    with pytest.raises(ParseError, match="^integer of 5000 digits is too long at position 2$"):
+        parse_element("T+" + "1" * 5000, F2)
+    with pytest.raises(ParseError, match="^field spec: integer of 5000 digits is too long$"):
+        parse_field_spec("p=" + "1" * 5000)
+
 def test_parser_limits():
     deep = "(" * 300 + "T" + ")" * 300
     with pytest.raises(ParseError, match="MAX_NESTING"):
@@ -444,9 +453,10 @@ def test_closed_stdout_exits_2_without_a_traceback(module):
 
 
 def test_non_sweep_commands_never_load_numpy():
-    """Only the sweeps use numpy: the README examples of every other command,
-    and two over F_4 and F_9, whose code arithmetic the sweep kernel shares,
-    run in a fresh interpreter without importing it."""
+    """The sweep code loads with the first sweep, and nothing loads numpy: the
+    README examples of every other command, and two over F_4 and F_9, whose
+    code arithmetic the sweeps share, run in a fresh interpreter without
+    importing either."""
     import hopforders
     script = (
         "import sys\n"
@@ -454,6 +464,7 @@ def test_non_sweep_commands_never_load_numpy():
         "for argv in ARGVS:\n"
         "    main(argv)\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "assert 'hopforders._walk' not in sys.modules, 'the sweep code was imported'\n"
     ).replace("ARGVS", repr([
         ["check", "--field", "p=2", "--B", WORKED_B, "--theta", WORKED_THETA],
         ["verify", "--field", "p=2", "--theta", "[T,0;1,T]", "--A", "[0,0;0,0]",
@@ -514,6 +525,47 @@ def test_record_limit_exits_2(capsys):
     assert "MAX_RECORDS = 65536" in captured.err
 
 
+
+def test_sweeps_run_without_numpy():
+    """Both sweeps succeed in a fresh interpreter where numpy cannot be imported."""
+    import hopforders
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from hopforders.cli import main\n"
+        "for command in ('enumerate', 'oracle-check'):\n"
+        "    assert main([command, '--family', 'mono_p2', '--field', 'p=3;k=2;mod=a^2+1',\n"
+        "                 '--i', '0..1', '--j', '0..1', '--depth', '3', '--json']) == 0\n"
+    )
+    env = {"PYTHONPATH": str(Path(hopforders.__file__).parents[1]), "PATH": ""}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+SWEEP_ARGV = ["enumerate", "--family", "mono_p2", "--field", "p=2", "--i", "0", "--j", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank1", "--field", "p=3", "--b", "T", "--i", "1_0"], "argument --i: bad integer '1_0'"),
+    (SWEEP_ARGV[:6] + ["0..1_0"] + SWEEP_ARGV[7:], "bad range '0..1_0' (use lo..hi)"),
+    (SWEEP_ARGV + ["--depth", " 2"], "argument --depth: bad integer ' 2'"),
+    (SWEEP_ARGV[:4] + ["p=1_1"] + SWEEP_ARGV[5:], "field spec: bad integer '1_1'"),
+    (SWEEP_ARGV[:4] + ["p=3;k=+2;mod=a^2+1"] + SWEEP_ARGV[5:], "field spec: bad integer '+2'"),
+    (["present", "--field", "p=2", "--A", f"[{'1' * 5000}]"],
+     "entry (1,1): integer of 5000 digits is too long at position 0"),
+    (["present", "--field", f"p={'1' * 5000}", "--A", "[1]"],
+     "field spec: integer of 5000 digits is too long"),
+])
+def test_integers_outside_the_grammar_exit_2(capsys, argv, message):
+    """Every integer on the command line is read by the element grammar's
+    number rule: no '_', '+' or blanks, and a digit run too long for int() is
+    a parse error."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
 def test_rank1_exponent_limit_exit_2(capsys):
     assert main(["rank1", "--field", "p=2", "--b", "T", "--i", str(MAX_DEGREE + 1)]) == 2
     captured = capsys.readouterr()
@@ -524,18 +576,18 @@ def test_rank1_exponent_limit_exit_2(capsys):
 @pytest.mark.parametrize("command", ["oracle-check", "enumerate"])
 @pytest.mark.parametrize("row", [1, 0])
 def test_batch_mismatch_exits_3(capsys, monkeypatch, command, row):
-    """A kernel verdict that the object-level oracle contradicts is an
+    """A walk verdict that the object-level oracle contradicts is an
     internal error: one line on stderr, exit 3, no traceback.  Row 0 is the
     T^j record, which every cell cross-checks."""
-    from hopforders import _batch
-    kernel = _batch.oracle_verdicts
+    from hopforders import _walk
+    walk = _walk.cylinders
 
-    def flipped(grid, bint):
-        verdicts = kernel(grid, bint).copy()
-        verdicts[row] = not verdicts[row]
-        return verdicts
+    def flipped(spec, *args):
+        # flip the oracle verdict of the cylinder that holds the row
+        return [(k, base, orc != (row % spec.q ** k == base), prd)
+                for k, base, orc, prd in walk(spec, *args)]
 
-    monkeypatch.setattr(_batch, "oracle_verdicts", flipped)
+    monkeypatch.setattr(_walk, "cylinders", flipped)
     code = main([command, "--family", "alpha_p2", "--field", "p=2",
                  "--i", "0", "--j", "0", "--depth", "3"])
     captured = capsys.readouterr()

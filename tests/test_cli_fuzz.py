@@ -10,7 +10,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopforders import _batch, cli, families, orders
+from hopforders import _walk, cli, families, orders
 from hopforders.families import Family
 
 # Every argv gets SECONDS plus an allowance for the work the limits admit,
@@ -18,7 +18,7 @@ from hopforders.families import Family
 # times the cost of one 2x2 solve) per solve of the matrix equation, as the
 # object path re-decides up to 4095 rows of each sweep cell and `enumerate`
 # solves once per record it prints, and POINT_SECONDS (about ten times the
-# kernel's cost per point) per point of each cell.  A sweep of 81 cells at
+# walk's cost per point) per point of each cell.  A sweep of 81 cells at
 # depth 6 takes up to a minute.
 SECONDS = 5
 SOLVE_SECONDS = 2e-3
@@ -111,11 +111,12 @@ def test_every_argv_ends_in_a_verdict_or_a_clean_error(argv):
         return counted
 
     solve = allow(orders._twisted_quotient, lambda *_: SOLVE_SECONDS)
-    kernel = allow(_batch.oracle_verdicts, lambda grid, B: POINT_SECONDS * grid.n)
+    walk = allow(_walk.cylinders,
+                 lambda spec, B, i, j, depth, form: POINT_SECONDS * spec.q ** depth)
     start = time.perf_counter()
     with mock.patch.object(families, "_twisted_quotient", solve), \
             mock.patch.object(orders, "_twisted_quotient", solve), \
-            mock.patch.object(_batch, "oracle_verdicts", kernel), \
+            mock.patch.object(_walk, "cylinders", walk), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     seconds = time.perf_counter() - start

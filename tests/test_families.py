@@ -275,7 +275,7 @@ def test_only_the_closed_forms_are_checked(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a grid was built")
 
-    monkeypatch.setattr("hopforders._batch.CellGrid", forbidden)
+    monkeypatch.setattr("hopforders._walk.cylinders", forbidden)
     with pytest.raises(ValueError, match="predicate_fn"):
         oracle_check_family(Family.ALPHA_P2, F3, range(-1, 3), range(-1, 3), depth=2,
                             predicate_fn=lambda r: alpha_p2_loose_predicate(r))
@@ -455,7 +455,7 @@ def test_sweep_size_limit_refuses_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work was done past the limit")
 
-    monkeypatch.setattr("hopforders._batch.CellGrid", forbidden)
+    monkeypatch.setattr("hopforders._walk.cylinders", forbidden)
     monkeypatch.setattr("hopforders.families._record_from_row", forbidden)
     monkeypatch.setattr("hopforders.families._values", forbidden)
     assert 2 ** 24 == MAX_SWEEP_POINTS
@@ -503,7 +503,7 @@ def test_sweep_cell_count_and_degree_limits_refuse_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work was done past the limit")
 
-    monkeypatch.setattr("hopforders._batch.CellGrid", forbidden)
+    monkeypatch.setattr("hopforders._walk.cylinders", forbidden)
     monkeypatch.setattr("hopforders.families._record_from_row", forbidden)
     assert 2 ** 14 == MAX_SWEEP_CELLS
     for spec, i_range, j_range, limit in (

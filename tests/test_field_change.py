@@ -1,6 +1,6 @@
 """Metamorphic tests under a change of the coefficient field.
 
-All reach the sweep kernel, the field tables and the object oracle
+All reach the cylinder walk, the field tables and the object oracle
 together: a Galois automorphism of F_q fixes T, the valuation and every 0/1
 matrix B, so it maps the orders of each family onto themselves; two moduli
 of one degree present isomorphic fields, so the explicit isomorphism

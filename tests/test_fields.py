@@ -2,12 +2,10 @@ import itertools
 import random
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopforders import _batch
 from hopforders.fields import MAX_Q, FieldSpec, is_prime
 
 from helpers import (F2, F3, F4, F5, F8, F9, F16, F25, F27, digit_add, digit_frobenius,
@@ -229,20 +227,6 @@ def test_code_arithmetic_matches_digit_reference(spec):
             assert (x + y).coeffs == digit_add(spec, xd, yd)
             assert (x - y).coeffs == digit_sub(spec, xd, yd)
             assert (x * y).coeffs == digit_mul(spec, xd, yd)
-    # the sweep kernel's arithmetic on whole columns: every code, every pair
-    col = _batch._arith(spec)
-    codes = np.arange(spec.q)
-    xs, ys = np.repeat(codes, spec.q), np.tile(codes, spec.q)
-
-    def reference(op, *columns):
-        return [spec.element(op(spec, *(els[c].coeffs for c in cs))).code
-                for cs in zip(*(column.tolist() for column in columns))]
-
-    assert col.frob(codes).tolist() == reference(digit_frobenius, codes)
-    assert col.neg(codes).tolist() == reference(digit_sub, 0 * codes, codes)
-    assert col.inv(codes[1:]).tolist() == reference(digit_inverse, codes[1:])
-    for op, ref in ((col.add, digit_add), (col.sub, digit_sub), (col.mul, digit_mul)):
-        assert op(xs, ys).tolist() == reference(ref, xs, ys)
 
 
 def test_field_at_max_q_builds_tables_and_computes():
