@@ -84,6 +84,7 @@ def test_full_grid_predicate_twin_equivalence(spec, family):
         for j in (-2, 0, 2):
             if family is Family.ZP_SQUARED and (i < 0 or j < 0):
                 continue
+
             def record(row):
                 return _record_from_row(family, spec, row, i, j, depth)
 
