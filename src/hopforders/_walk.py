@@ -87,6 +87,13 @@ class Laurent:
         return self + -other
 
     def __mul__(self, other: "Laurent") -> "Laurent":
+        for x, y in ((self, other), (other, self)):
+            if y.prec == INF and len(y.terms) == 1:
+                # times an exact c T^e: exponents and precision shift by e, scaled when c != 1
+                (e, c), = y.terms.items()
+                mul = self.ar.mul
+                return Laurent(self.ar, {k + e: v if c == 1 else mul(v, c)
+                                         for k, v in x.terms.items()}, x.prec + e)
         # (P + O(T^a)) (Q + O(T^b)) = PQ + O(T^min(a + v(Q), b + v(P), a + b))
         lo1, lo2 = min(self.terms, default=INF), min(other.terms, default=INF)
         mul, items = self.ar.mul, itertools.product(self.terms.items(), other.terms.items())

@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 
 from .fields import FieldSpec
 from .matrix import Mat, Witness
-from .orders import _factor, _term, _twisted_quotient
+from .orders import _factor, _term, _twisted_quotient, _witness_at
 from .parse import MAX_DEGREE
 from .ratfunc import INF, Poly, RatFunc
 
@@ -163,15 +163,19 @@ def theta_for_record(record: OrderRecord) -> Mat:
                 [record.theta, RatFunc.pi_power(spec, record.j)]])
 
 
+def _quotient(rec: OrderRecord):
+    """_twisted_quotient of the record: (N, D, first failing position or None)."""
+    return _twisted_quotient(family_matrix(rec.family, rec.theta.spec), theta_for_record(rec))
+
+
 def _witness(rec: OrderRecord) -> Witness | None:
     """The first non-integral entry of the record's A, None if A is integral."""
-    B = family_matrix(rec.family, rec.theta.spec)
-    return _twisted_quotient(B, theta_for_record(rec))[2]
+    return _witness_at(*_quotient(rec))
 
 
 def oracle_is_order(record: OrderRecord) -> bool:
     """Ground truth: the integrality test of the matrix pipeline."""
-    return _witness(record) is None
+    return _quotient(record)[2] is None
 
 
 def _closed_form(family, p, i, j, theta, T):
@@ -509,9 +513,9 @@ def rank1_orders(b: RatFunc, i: int) -> Rank1Result:
         s = -(int(b.val) // (p - 1))
         b_norm = b * RatFunc.pi_power(spec, (p - 1) * s)
     theta = RatFunc.pi_power(spec, i)
-    N, D, witness = _twisted_quotient(Mat([[b_norm]]), Mat([[theta]]))
+    N, D, pos = _twisted_quotient(Mat([[b_norm]]), Mat([[theta]]))
     a = RatFunc(N[0][0], D)
     gen = _term(theta, "t")
     relation = f"u^{p} = {_factor(a)}*u"
     description = f"H_{i} = R[u], u = {gen}, {relation}"
-    return Rank1Result(witness is None, i, b, b_norm, a, relation, description)
+    return Rank1Result(pos is None, i, b, b_norm, a, relation, description)

@@ -9,8 +9,10 @@ where d_0 + d_1 a + ... + d_{k-1} a^(k-1) is its power-basis form; 0 is zero,
 1 is one, and over F_p the code is the residue.  `FieldSpec.arith` holds the
 code arithmetic, the primitives add, sub, mul, inv and frob with neg derived:
 plain ints mod p for k = 1; for k > 1 log/antilog tables to a primitive
-element, built once on first use, serve mul, inv and frob, and add is XOR for
-p = 2 and digit-wise mod p for odd p.  Every table has O(q) entries.
+element g, built once on first use, serve mul, inv and frob, and add is XOR for
+p = 2 and, for odd p, x + y = g^(log x + zech(log y - log x)) through a table
+of Zech logs, 1 + g^m = g^zech(m); sub adds (-1) * y, log(-1) = (q - 1) / 2.
+Every table has O(q) entries.
 :class:`FqElem` is the immutable element at the API edge, on the same code
 arithmetic; _FIELD_OPS derives its -, / and ** and RatFunc's alike, and
 _poly_text prints every polynomial.
@@ -133,9 +135,16 @@ class _Arith:
             self.mul = lambda x, y: exp[log[x] + log[y]]
             self.inv = lambda x: exp[n - log[x]]
             self.frob = frobs.__getitem__
-            weights = [p ** t for t in range(k)]       # odd p: digit by digit mod p
-            self.add = lambda x, y: sum((x // w + y // w) % p * w for w in weights)
-            self.sub = lambda x, y: sum((x // w - y // w) % p * w for w in weights)
+            if p != 2:
+                # Zech logs: 1 + g^m = g^zech[m], 2n (log 0) where 1 + g^m = 0;
+                # adding 1 changes digit 0 only
+                zech = [log[x - x % p + (x + 1) % p] for x in exp[:n]]
+                h = n // 2                              # log(-1)
+
+                def add(x, y):
+                    return exp[log[x] + zech[(log[y] - log[x]) % n]] if x and y else x or y
+                self.add = add
+                self.sub = lambda x, y: add(x, exp[log[y] + h])
         if p == 2:                      # codes are bit vectors
             self.add = self.sub = operator.xor
         self.neg = functools.partial(self.sub, 0)

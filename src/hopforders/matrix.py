@@ -200,8 +200,12 @@ class Mat:
         for row in self.rows:
             for x in row:
                 d = _lcm(d, x.den)
-        return [[x.num if x.den == d else x.num * (d // x.den) for x in row]
-                for row in self.rows], d
+        cofactors = {}                      # d // den, once per distinct denominator
+        for row in self.rows:
+            for x in row:
+                if x.den.codes not in cofactors:
+                    cofactors[x.den.codes] = d // x.den
+        return [[x.num * cofactors[x.den.codes] for x in row] for row in self.rows], d
 
     def det(self) -> RatFunc:
         """Exact determinant det M / d^n for self = M / d, by fraction-free

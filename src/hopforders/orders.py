@@ -157,14 +157,16 @@ def presentation_from_matrix(A: Mat) -> Presentation:
     return Presentation(A, _default_gens("u", A.n))
 
 
-def _twisted_quotient(B: Mat, theta: Mat) -> tuple[list[list[Poly]], Poly, Witness | None]:
+def _twisted_quotient(B: Mat, theta: Mat
+                      ) -> tuple[list[list[Poly]], Poly, tuple[int, int] | None]:
     """The integrality test behind order_from_theta, the family oracle and
     rank1_orders, for an integral B of Theta's size and spec (the callers'
-    duty): (N, D, witness), A = Theta^{-1} B Theta^(p) = N / D, the witness the
-    first entry of A in row-major order with ord(N_ij) < ord(D), None if A is
-    integral.  With Theta = M / d and B = B' / b over F_q[T], N = adj(M) B' M^(p)
-    and D = det M * b * d^(p-1), with d^(p-1) = d^(p) / d so that every twist
-    is bounded by MAX_TWIST_DEGREE; no division in K happens before the verdict."""
+    duty): (N, D, pos), A = Theta^{-1} B Theta^(p) = N / D, pos the 0-based
+    (row, col) of the first entry of A in row-major order with ord(N_ij) <
+    ord(D), None if A is integral; _witness_at builds its Witness on demand.
+    With Theta = M / d and B = B' / b over F_q[T], N = adj(M) B' M^(p) and D =
+    det M * b * d^(p-1), with d^(p-1) = d^(p) / d so that every twist is bounded
+    by MAX_TWIST_DEGREE; no division in K happens before the verdict."""
     M, d = theta._polynomial_form()
     Bm, b = B._polynomial_form()
     twisted = [[x.pth_power() for x in row] for row in M]
@@ -174,9 +176,17 @@ def _twisted_quotient(B: Mat, theta: Mat) -> tuple[list[list[Poly]], Poly, Witne
     for i, row in enumerate(N):
         for j, x in enumerate(row):
             if x and x.ord < ord_D:
-                entry = RatFunc(x, D)
-                return N, D, Witness(i + 1, j + 1, entry.val, entry)
+                return N, D, (i, j)
     return N, D, None
+
+
+def _witness_at(N: list[list[Poly]], D: Poly, pos: tuple[int, int] | None) -> Witness | None:
+    """The Witness of entry pos of A = N / D, as _twisted_quotient returns them."""
+    if pos is None:
+        return None
+    i, j = pos
+    entry = RatFunc(N[i][j], D)
+    return Witness(i + 1, j + 1, entry.val, entry)
 
 
 def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
@@ -191,9 +201,9 @@ def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
         raise ValueError(f"B must be integral: {res.witness}")
     if B.n != theta.n or B.spec != theta.spec:
         raise ValueError("B and Theta must have equal size over one field spec")
-    N, D, witness = _twisted_quotient(B, theta)
-    if witness is not None:
-        raise NotIntegralError(witness)
+    N, D, pos = _twisted_quotient(B, theta)
+    if pos is not None:
+        raise NotIntegralError(_witness_at(N, D, pos))
     A = Mat([[RatFunc(x, D) for x in row] for row in N])
     gens = _default_gens("u", A.n)
     return OrderResult(A, Embedding(theta, gens, _default_gens("t", A.n)), Presentation(A, gens))

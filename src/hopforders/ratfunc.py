@@ -162,15 +162,17 @@ class Poly:
             a, b = self.codes, other.codes
         except AttributeError:
             return NotImplemented
-        spec = self.spec
-        if not a or not b:
-            return Poly.zero(spec)
+        if not a:
+            return self
+        if not b:
+            return other
+        if not any(a[:-1]):                 # c * T^m: a shift, scaled when c != 1
+            return other._times_monomial(len(a) - 1, a[-1])
+        if not any(b[:-1]):
+            return self._times_monomial(len(b) - 1, b[-1])
         if len(a) > len(b):
             a, b = b, a
-        if not any(a[:-1]):                 # c * T^m: shift and scale
-            return Poly._raw(spec, (0,) * (len(a) - 1) + b)._scale(a[-1])
-        if not any(b[:-1]):
-            return Poly._raw(spec, (0,) * (len(b) - 1) + a)._scale(b[-1])
+        spec = self.spec
         out = [0] * (len(a) + len(b) - 1)
         nonzero_b = [(j, y) for j, y in enumerate(b) if y]
         if spec.k == 1:
@@ -190,6 +192,13 @@ class Poly:
                 for j, ly in logs_b:
                     out[i + j] = add(out[i + j], exp[lx + ly])
         return Poly._raw(spec, tuple(out))
+
+    def _times_monomial(self, m: int, c: int) -> "Poly":
+        """self * c T^m for a nonzero self, m >= 0 and a code c != 0; self
+        itself when c T^m = 1."""
+        if c != 1:
+            self = self._scale(c)
+        return Poly._raw(self.spec, (0,) * m + self.codes) if m else self
 
     def shift(self, m: int) -> "Poly":
         """Multiply by T^m, m >= 0; refuses a result of degree above
@@ -213,13 +222,22 @@ class Poly:
         db = len(b) - 1
         if len(self.codes) <= db:
             return Poly.zero(spec), self
+        if not any(b[:db]):               # a monomial c*T^db: a slice each
+            return self // other, Poly._trimmed(spec, list(self.codes[:db]))
         ar = spec.arith
         inv_lead = ar.inv(b[-1])
-        if not any(b[:db]):               # a monomial c*T^db: shift and scale
-            return (Poly._raw(spec, self.codes[db:])._scale(inv_lead),
-                    Poly._trimmed(spec, list(self.codes[:db])))
         rem = list(self.codes)
         q = [0] * (len(rem) - db)
+        if spec.k == 1 and spec.p != 2:
+            # as in __mul__: plain ints, each leading coefficient reduced once
+            p = spec.p
+            for d in range(len(q) - 1, -1, -1):
+                c = rem[d + db] * inv_lead % p
+                if c:
+                    q[d] = c
+                    for i, y in enumerate(b, d):
+                        rem[i] -= c * y
+            return Poly._raw(spec, tuple(q)), Poly._trimmed(spec, [r % p for r in rem[:db]])
         mul, sub = ar.mul, ar.sub
         for d in range(len(q) - 1, -1, -1):
             c = mul(rem[d + db], inv_lead)
@@ -232,6 +250,10 @@ class Poly:
     __divmod__ = divmod
 
     def __floordiv__(self, other: "Poly") -> "Poly":
+        b = other.codes
+        if b and not any(b[:-1]):           # by c * T^m: a slice, scaled when c != 1
+            q = Poly._raw(self.spec, self.codes[len(b) - 1:])
+            return q if b[-1] == 1 else q._scale(self.spec.arith.inv(b[-1]))
         return self.divmod(other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
@@ -267,7 +289,8 @@ class Poly:
             raise ValueError(f"a Frobenius twist of degree p * deg = {p} * {len(self.codes) - 1} "
                              f"= {degree} exceeds the limit MAX_TWIST_DEGREE = {MAX_TWIST_DEGREE}")
         out = [0] * (degree + 1)
-        out[::p] = map(spec.arith.frob, self.codes)
+        # over F_p the Frobenius is the identity: a copy of the codes
+        out[::p] = self.codes if spec.k == 1 else map(spec.arith.frob, self.codes)
         return Poly._raw(spec, tuple(out))
 
     def __eq__(self, other):

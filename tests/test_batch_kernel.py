@@ -287,19 +287,30 @@ def test_precision_rules_claim_only_true_coefficients(spec):
         return sum((RatFunc.constant(spec, spec._make(c)) * RatFunc.pi_power(spec, e)
                     for e, c in terms.items()), RatFunc.zero(spec))
 
+    def check(claimed, exact):
+        known, coeffs = claimed.terms, _coefficients(exact)
+        assert all(c and e < claimed.prec for e, c in known.items())
+        for e in set(known) | set(coeffs):
+            if e < claimed.prec:
+                assert known.get(e, 0) == coeffs.get(e, 0), (e, known, coeffs)
+        v = claimed.val
+        if isinstance(v, _walk._AtLeast):
+            assert exact.val >= v.bound
+        else:
+            assert exact.val == v
+
     for _ in range(150):
         x, y = prefix(), prefix()
         for _ in range(4):
             X, Y = completion(x), completion(y)
             for claimed, exact in ((x + y, X + Y), (x - y, X - Y), (x * y, X * Y),
                                    (x.pth_power(), X.pth_power())):
-                known, coeffs = claimed.terms, _coefficients(exact)
-                assert all(c and e < claimed.prec for e, c in known.items())
-                for e in set(known) | set(coeffs):
-                    if e < claimed.prec:
-                        assert known.get(e, 0) == coeffs.get(e, 0), (e, known, coeffs)
-                v = claimed.val
-                if isinstance(v, _walk._AtLeast):
-                    assert exact.val >= v.bound
-                else:
-                    assert exact.val == v
+                check(claimed, exact)
+    # an exact one-term operand c T^e shifts the exponents and the precision by e
+    for _ in range(60):
+        x, e, c = prefix(), rng.randint(-4, 4), rng.randrange(1, q)
+        y = _walk.Laurent(ar, {e: c})
+        Y = RatFunc.constant(spec, spec._make(c)) * RatFunc.pi_power(spec, e)
+        for claimed in (x * y, y * x):
+            assert claimed.prec == x.prec + e
+            check(claimed, completion(x) * Y)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import time
 import tracemalloc
@@ -17,7 +19,8 @@ from hopforders.orders import NotIntegralError, order_from_theta, same_order
 from hopforders.parse import MAX_DEGREE
 from hopforders.ratfunc import Poly, RatFunc
 
-from helpers import F2, F3, F4, F5, F9, brute_force_points, pi, rand_nonzero_ratfunc
+from helpers import (F2, F3, F4, F5, F9, brute_force_points, pi, rand_nonzero_ratfunc,
+                     reference_order)
 
 
 def rec(family, spec, i, j, theta):
@@ -535,6 +538,41 @@ def test_oracle_builds_no_order(monkeypatch):
                                  predicate_fn=alpha_p2_loose_predicate)
     assert report.disagreements
     assert all(d.witness is not None for d in report.disagreements)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=lambda s: f"F{s.q}")
+def test_sweep_oracle_matches_the_cofactor_reference(spec):
+    """On every row of the depth-2 cells i, j in -1..2 of the five presets,
+    oracle_is_order and _witness (row, column, valuation and entry text)
+    equal A = cofactor_inverse(Theta) * B * Theta^(p), which uses no Bareiss."""
+    verdicts = set()
+    for family in Family:
+        B = family_matrix(family, spec)
+        for i, j in itertools.product(range(-1, 3), repeat=2):
+            for row in range(spec.q ** 2):
+                record = _record_from_row(family, spec, row, i, j, 2)
+                A = reference_order(B, theta_for_record(record))
+                expected = None if isinstance(A, Mat) else A
+                w = _witness(record)
+                got = None if w is None else (w.row, w.col, w.valuation, str(w.entry))
+                assert got == expected and oracle_is_order(record) == (got is None), \
+                    record.to_json()
+                verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+# SHA-256 of the sorted-key JSON of the loose alpha_p2 report over F_2, i in
+# 0..3, j in -2..2 at depth 6: its disagreements carry witnesses
+LOOSE_REPORT_DIGEST = "71f49f4c69e79c18f04259d1d041528e9897c96d593429e8ea935ce187a469bd"
+
+
+def test_loose_report_with_witnesses_is_pinned():
+    report = oracle_check_family(Family.ALPHA_P2, F2, range(0, 4), range(-2, 3), depth=6,
+                                 predicate_fn=alpha_p2_loose_predicate)
+    assert report.disagreements and all(d.witness for d in report.disagreements
+                                        if not d.oracle_verdict)
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == LOOSE_REPORT_DIGEST
 
 
 @pytest.mark.parametrize("spec", [F2, F3, F4, F9])

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 import time
 import tracemalloc
@@ -80,6 +82,53 @@ def test_builtin_divmod(spec):
         assert q * b + r == a and r.degree < b.degree
     with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
         divmod(rand_poly(rng, spec, 3), Poly.zero(spec))
+
+
+def _schoolbook(x, y):
+    """x * y summed term by term in FqElem arithmetic, with no shortcut."""
+    spec = x.spec
+    out = [spec.zero] * (len(x.codes) + len(y.codes))
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(spec, out)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=lambda s: f"F{s.q}")
+def test_monomial_shortcuts_match_the_general_loop(spec):
+    """A product with c T^m is a shift, a quotient by it a slice, and the
+    twist over F_p a copy of the codes: each equals its term-by-term result."""
+    rng = random.Random(f"monomial|{spec.q}")
+    one = Poly.one(spec)
+    units = [c for c in spec.elements() if c]
+    for _ in range(40):
+        x = rand_poly(rng, spec, 6)
+        m = rng.randrange(5)
+        for c in units:
+            mono = Poly(spec, [spec.zero] * m + [c])
+            assert x * mono == mono * x == _schoolbook(x, mono)
+            assert x // mono == Poly(spec, [a / c for a in x.coeffs[m:]])
+            assert x % mono == Poly(spec, x.coeffs[:m])
+        twisted = [spec.zero] * (spec.p * len(x.codes))
+        twisted[::spec.p] = [functools.reduce(operator.mul, [a] * spec.p) for a in x.coeffs]
+        assert x.pth_power() == Poly(spec, twisted)
+        if x:
+            assert one * x is x and x * one == x
+    zero = Poly.zero(spec)
+    assert (zero * one).is_zero() and (one * zero).is_zero()
+
+
+@pytest.mark.parametrize("spec", [F3, F5, F9], ids=lambda s: f"F{s.q}")
+def test_odd_p_divmod_is_a_division(spec):
+    """q * b + r = a with deg r < deg b, for divisors of any leading
+    coefficient and dividends shorter or longer than them."""
+    rng = random.Random(f"divmod|{spec.q}")
+    for _ in range(200):
+        a = rand_poly(rng, spec, rng.randrange(9))
+        b = rand_poly(rng, spec, rng.randrange(1, 5), nonzero=True)
+        q, r = a.divmod(b)
+        assert _schoolbook(q, b) + r == a and r.degree < b.degree
+        assert a // b == q and a % b == r
 
 
 def test_zero_polynomial():
