@@ -116,21 +116,24 @@ class Laurent:
         return INF if self.prec == INF else _AtLeast(self.prec)
 
 
-def cylinders(spec, b01, i: int, j: int, depth: int, form=None) -> list[tuple]:
-    """Decide the cell (i, j, depth) for B given by its 0/1 int rows `b01`.
+def cylinders(B, i: int, j: int, depth: int, form=None) -> list[tuple]:
+    """Decide the cell (i, j, depth) for B, a 2x2 `Mat` whose entries are
+    polynomials in T (denominator 1), such as `families.family_matrix`'s.
 
     Returns (k, base, oracle, closed) for each cylinder of a partition of the
     cell's rows: its rows are range(base, q^depth, q^k), those whose k lowest
     digits are base's.  `oracle` is the integrality verdict of every row in
     it; `closed` is form(theta, T), with T(e) = T^e, or None for form None.
     """
+    spec = B.spec
     ar, p, q = spec.arith, spec.p, spec.q
 
     def T(e):
         return Laurent(ar, {e: 1})
 
     zero = Laurent(ar, {})
-    bm = [[T(0) if b else zero for b in row] for row in b01]
+    bm = [[Laurent(ar, {e: c for e, c in enumerate(x.num.codes) if c}) for x in row]
+          for row in B.rows]
     out, stack = [], [(0, 0, {})]
     while stack:
         k, base, digits = stack.pop()

@@ -393,7 +393,7 @@ def _sweep(family, spec, i_range, j_range, depth, form, checks):
         raise ValueError(f"(p+1) * max(|i|, |j|) = {degree} exceeds the limit "
                          f"MAX_DEGREE = {MAX_DEGREE}; pass smaller exponents (--i, --j)")
     from . import _walk             # the walk loads with the first sweep
-    q, B, n = spec.q, _FAMILY_B[family], spec.q ** depth
+    q, B, n = spec.q, family_matrix(family, spec), spec.q ** depth
     limit, spot, tag = checks
     total = 0
     found: list[tuple[OrderRecord, bool, bool | None]] = []
@@ -403,7 +403,7 @@ def _sweep(family, spec, i_range, j_range, depth, form, checks):
         record = functools.partial(_record_from_row, family, spec, i=i, j=j, depth=depth)
         cell_form = None if form is None else functools.partial(form, family, spec.p, i, j)
         walk = {(k, base): [orc, prd]
-                for k, base, orc, prd in _walk.cylinders(spec, B, i, j, depth, cell_form)}
+                for k, base, orc, prd in _walk.cylinders(B, i, j, depth, cell_form)}
         picked = [key for key, (orc, prd) in walk.items() if (orc if form is None else orc != prd)]
         if len(found) + sum(n // q ** k for k, _ in picked) > MAX_RECORDS:
             raise ValueError(f"the records of a sweep exceed the limit MAX_RECORDS = "

@@ -123,9 +123,7 @@ class Poly:
         return self._scale(self.spec.arith.inv(self.codes[-1]))
 
     def _scale(self, c: int) -> "Poly":
-        """Multiply by the constant with code c != 0."""
-        if c == 1:
-            return self
+        """Multiply by the constant with code c not 0 or 1."""
         mul = self.spec.arith.mul
         return Poly._raw(self.spec, tuple(mul(x, c) for x in self.codes))
 
@@ -210,8 +208,6 @@ class Poly:
 
     def rshift(self, m: int) -> "Poly":
         """Exact division by T^m; requires ord >= m."""
-        if m == 0 or not self.codes:
-            return self
         return Poly._raw(self.spec, self.codes[m:])
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -222,8 +218,6 @@ class Poly:
         db = len(b) - 1
         if len(self.codes) <= db:
             return Poly.zero(spec), self
-        if not any(b[:db]):               # a monomial c*T^db: a slice each
-            return self // other, Poly._trimmed(spec, list(self.codes[:db]))
         ar = spec.arith
         inv_lead = ar.inv(b[-1])
         rem = list(self.codes)
@@ -313,16 +307,10 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm, splitting off the T-power part."""
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    m = min(a.ord, b.ord)
-    a, b = a.rshift(int(a.ord)), b.rshift(int(b.ord))
+    """Monic gcd by the Euclidean algorithm."""
     while not b.is_zero():
         a, b = b, a % b
-    return a.monic().shift(m)
+    return a.monic()
 
 
 class RatFunc:
@@ -433,8 +421,6 @@ class RatFunc:
         other = _coerce(self, other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc.from_poly(self.num * other.num)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -6,8 +6,10 @@ implementations of the oracle computation fails loudly here (beyond the
 in-run cross-checks the sweep already performs).
 """
 
+import collections
 import functools
 import hashlib
+import itertools
 import random
 import tracemalloc
 
@@ -16,13 +18,15 @@ import pytest
 from hopforders import _walk, families
 from hopforders.cli import main
 from hopforders.families import (Family, OrderRecord, _record_from_row,
-                                 alpha_p2_loose_predicate, enumerate_orders,
-                                 oracle_check_family, oracle_is_order, predicate)
+                                 alpha_p2_loose_predicate, enumerate_orders, family_matrix,
+                                 oracle_check_family, oracle_is_order, predicate,
+                                 theta_for_record)
 from hopforders.fields import FieldSpec
 from hopforders.matrix import Mat
+from hopforders.orders import _twisted_quotient
 from hopforders.ratfunc import INF, RatFunc
 
-from helpers import F2, F3, F4, F5, F8, F9, F25, brute_force_points
+from helpers import F2, F3, F4, F5, F8, F9, F25, brute_force_points, rand_poly
 
 F7 = FieldSpec(7)
 
@@ -58,13 +62,14 @@ def _held(spec, depth, cylinders):
 @pytest.mark.parametrize("family", MATRIX_FAMILIES)
 def test_full_grid_oracle_equivalence(spec, family):
     """Every row lies in one cylinder, whose verdict is the oracle's."""
+    B = family_matrix(family, spec)
     cases = [(1 if spec is F25 else 3 if spec.q in (2, 4) else 2, (-1, 0, 2, 5))]
     if spec is F3:
         cases.append((3, (-3, -1)))     # negative i at depth 3
     for depth, i_values in cases:
         for i in i_values:
             for j in (-2, 0, 1, 3):
-                held = _held(spec, depth, _walk.cylinders(spec, B_INTS[family], i, j, depth))
+                held = _held(spec, depth, _walk.cylinders(B, i, j, depth))
                 for row, cyl in held.items():   # row 0, theta = 0, is the T^j record
                     rec = _record_from_row(family, spec, row, i, j, depth)
                     assert oracle_is_order(rec) == cyl[2], rec.to_json()
@@ -78,6 +83,7 @@ def test_full_grid_oracle_equivalence(spec, family):
 def test_full_grid_predicate_twin_equivalence(spec, family):
     """Each closed form, run on a whole grid, gives the verdict it gives on
     each row's record, row 0 (theta = 0) included: that is the T^j record."""
+    B = family_matrix(family, spec)
     depth = 1 if spec is F25 else 3 if spec.q in (2, 4) else 2
     preds = [predicate] + ([alpha_p2_loose_predicate] if family is Family.ALPHA_P2 else [])
     for i in (-1, 0, 1, 4):
@@ -90,8 +96,7 @@ def test_full_grid_predicate_twin_equivalence(spec, family):
 
             for pred in preds:
                 form = functools.partial(FORMS[pred], family, spec.p, i, j)
-                held = _held(spec, depth, _walk.cylinders(spec, B_INTS[family], i, j, depth,
-                                                          form))
+                held = _held(spec, depth, _walk.cylinders(B, i, j, depth, form))
                 for row, cyl in held.items():
                     assert pred(record(row)) == cyl[3], record(row).to_json()
 
@@ -102,16 +107,16 @@ def test_blocks_across_a_boundary_match_one_grid(spec, depth, family):
     """A cell of more than 2^12 rows, 3^8 = 6561 over F_3: its cylinders
     partition the rows, the oracle agrees with them on each side of row 2^12,
     and the closed form's cylinders agree with `predicate` on every row."""
-    n, i, j = spec.q ** depth, 2, 2
+    n, i, j, B = spec.q ** depth, 2, 2, family_matrix(family, spec)
 
     def record(row):
         return _record_from_row(family, spec, row, i, j, depth)
 
-    held = _held(spec, depth, _walk.cylinders(spec, B_INTS[family], i, j, depth))
+    held = _held(spec, depth, _walk.cylinders(B, i, j, depth))
     for row in (0, 4095, 4096, n - 1):
         assert oracle_is_order(record(row)) == held[row][2], record(row).to_json()
     form = functools.partial(families._closed_form, family, spec.p, i, j)
-    held = _held(spec, depth, _walk.cylinders(spec, B_INTS[family], i, j, depth, form))
+    held = _held(spec, depth, _walk.cylinders(B, i, j, depth, form))
     assert [predicate(record(row)) for row in range(n)] == [held[row][3] for row in range(n)]
 
 
@@ -171,7 +176,7 @@ def test_grid_valuations_match_records():
     def exact_val(theta, T):
         return theta.val if theta.prec == INF else _walk.UNKNOWN
 
-    cyls = _walk.cylinders(F3, B_INTS[Family.ALPHA_P_N], 0, 1, 3, exact_val)
+    cyls = _walk.cylinders(family_matrix(Family.ALPHA_P_N, F3), 0, 1, 3, exact_val)
     assert sorted(base for k, base, _, _ in cyls if k == 3) == list(range(27))
     for _, row, _, v in cyls:
         rec = _record_from_row(Family.ALPHA_P_N, F3, row, 0, 1, 3)
@@ -314,3 +319,67 @@ def test_precision_rules_claim_only_true_coefficients(spec):
         for claimed in (x * y, y * x):
             assert claimed.prec == x.prec + e
             check(claimed, completion(x) * Y)
+
+
+# The random-B fields and depths: each cell has 8, 9, 16, 25 or 9 rows
+RANDOM_B_DEPTHS = [(F2, 3), (F3, 2), (F4, 2), (F5, 2), (F9, 1)]
+
+
+def _random_bs(spec):
+    """Four seeded 2x2 B over F_q[T] of degree <= 2, codes from all of F_q;
+    b12 is nonzero in the first two and 0 in the last two."""
+    rng = random.Random(f"random B|{spec.spec_text()}")
+    out = []
+    for n in range(4):
+        b = [RatFunc.from_poly(rand_poly(rng, spec, 2, nonzero=(e == 1))) for e in range(4)]
+        if n >= 2:
+            b[1] = RatFunc.zero(spec)
+        out.append(Mat([b[:2], b[2:]]))
+    return out
+
+
+def _is_zero_or_power(count, p):
+    while count and count % p == 0:
+        count //= p
+    return count in (0, 1)
+
+
+@pytest.mark.parametrize("spec, depth", RANDOM_B_DEPTHS, ids=["F2", "F3", "F4", "F5", "F9"])
+def test_walk_matches_the_object_oracle_on_random_b(spec, depth):
+    """The walk reads any 2x2 B of polynomials in T: on seeded random B its
+    cylinders partition each cell, and each row's verdict is the object
+    oracle's on the row's record."""
+    for B in _random_bs(spec):
+        for i in range(3):
+            for j in range(-1, 2):
+                held = _held(spec, depth, _walk.cylinders(B, i, j, depth))
+                for row, cyl in held.items():
+                    rec = _record_from_row(Family.ALPHA_P_N, spec, row, i, j, depth)
+                    verdict = _twisted_quotient(B, theta_for_record(rec))[2] is None
+                    assert verdict == cyl[2], (B.rows, rec.to_json())
+
+
+LAW_DEPTHS = [(F2, 6), (F3, 4), (F4, 3), (F5, 3), (F9, 2)]
+
+
+@pytest.mark.parametrize("spec, depth", LAW_DEPTHS, ids=["F2", "F3", "F4", "F5", "F9"])
+def test_b12_zero_cells_count_zero_or_a_power_of_p(spec, depth):
+    """With b12 = 0, N = adj(Theta) B Theta^(p) is affine in theta and
+    theta^(p), so F_p-linear in the digits: the accepted rows of a cell form
+    an affine F_p-subspace, and each cell's count is 0 or a power of p."""
+    cells = list(itertools.product(range(-1, 4), range(-1, 3)))
+    for family in (Family.ALPHA_P_N, Family.ZP_X_AP, Family.ZP_SQUARED):
+        counts = collections.Counter((r.i, r.j) for r in enumerate_orders(
+            family, spec, range(-1, 4), range(-1, 3), depth=depth))
+        assert all(_is_zero_or_power(counts[cell], spec.p) for cell in cells), (family, counts)
+    if spec is F3:      # the control: mono_p2 (b12 = 1) breaks the law
+        counts = collections.Counter((r.i, r.j) for r in enumerate_orders(
+            Family.MONO_P2, spec, range(-1, 4), range(-1, 3), depth=depth))
+        assert 2 in counts.values()
+    # through the walk, for the random B with b12 = 0
+    depth = dict(RANDOM_B_DEPTHS)[spec]
+    for B in _random_bs(spec)[2:]:
+        for i, j in cells:
+            count = sum(spec.q ** (depth - k) for k, _, orc, _ in _walk.cylinders(B, i, j, depth)
+                        if orc)
+            assert _is_zero_or_power(count, spec.p), (B.rows, i, j, count)

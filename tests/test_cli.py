@@ -582,10 +582,10 @@ def test_batch_mismatch_exits_3(capsys, monkeypatch, command, row):
     from hopforders import _walk
     walk = _walk.cylinders
 
-    def flipped(spec, *args):
+    def flipped(B, *args):
         # flip the oracle verdict of the cylinder that holds the row
-        return [(k, base, orc != (row % spec.q ** k == base), prd)
-                for k, base, orc, prd in walk(spec, *args)]
+        return [(k, base, orc != (row % B.spec.q ** k == base), prd)
+                for k, base, orc, prd in walk(B, *args)]
 
     monkeypatch.setattr(_walk, "cylinders", flipped)
     code = main([command, "--family", "alpha_p2", "--field", "p=2",

@@ -112,7 +112,7 @@ def test_every_argv_ends_in_a_verdict_or_a_clean_error(argv):
 
     solve = allow(orders._twisted_quotient, lambda *_: SOLVE_SECONDS)
     walk = allow(_walk.cylinders,
-                 lambda spec, B, i, j, depth, form: POINT_SECONDS * spec.q ** depth)
+                 lambda B, i, j, depth, form: POINT_SECONDS * B.spec.q ** depth)
     start = time.perf_counter()
     with mock.patch.object(families, "_twisted_quotient", solve), \
             mock.patch.object(orders, "_twisted_quotient", solve), \
