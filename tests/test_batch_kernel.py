@@ -377,9 +377,9 @@ def test_b12_zero_cells_count_zero_or_a_power_of_p(spec, depth):
             Family.MONO_P2, spec, range(-1, 4), range(-1, 3), depth=depth))
         assert 2 in counts.values()
     # through the walk, for the random B with b12 = 0
-    depth = dict(RANDOM_B_DEPTHS)[spec]
+    walk_depth = dict(RANDOM_B_DEPTHS)[spec]
     for B in _random_bs(spec)[2:]:
         for i, j in cells:
-            count = sum(spec.q ** (depth - k) for k, _, orc, _ in _walk.cylinders(B, i, j, depth)
-                        if orc)
+            count = sum(spec.q ** (walk_depth - k)
+                        for k, _, orc, _ in _walk.cylinders(B, i, j, walk_depth) if orc)
             assert _is_zero_or_power(count, spec.p), (B.rows, i, j, count)
