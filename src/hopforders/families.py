@@ -70,6 +70,14 @@ def family_matrix(family: Family, spec: FieldSpec, n: int | None = None) -> Mat:
     return Mat.zeros(spec, n)
 
 
+@functools.cache
+def _family_form(family: Family, spec: FieldSpec) -> tuple[tuple[tuple[Poly, ...], ...], Poly]:
+    """The polynomial form (Bm, b) of family_matrix(family, spec), built once
+    per (family, spec) for the oracle; tuples, as every call shares it."""
+    Bm, b = family_matrix(family, spec)._polynomial_form()
+    return tuple(map(tuple, Bm)), b
+
+
 def _laurent(spec: FieldSpec, e: int, codes: list[int]) -> RatFunc:
     """The Laurent polynomial sum codes[d] * T^(e+d), codes[0] != 0: the shape
     of every canonical theta but T^j.  A polynomial with a nonzero constant
@@ -163,9 +171,23 @@ def theta_for_record(record: OrderRecord) -> Mat:
                 [record.theta, RatFunc.pi_power(spec, record.j)]])
 
 
+def _record_form(record: OrderRecord) -> tuple[list[list[Poly]], Poly]:
+    """theta_for_record(record)._polynomial_form(), read off (i, j, theta):
+    every denominator is a T-power, so d = T^s for s = max(0, -i, -j,
+    deg den theta).  d is built first and every entry by Poly.monomial or
+    Poly.shift, so a record past MAX_TWIST_DEGREE is refused before any
+    T-power of its size exists."""
+    i, j, theta = record.i, record.j, record.theta
+    spec, e = theta.spec, theta.den.degree
+    s = max(0, -i, -j, e)
+    d = Poly.monomial(spec, s)
+    return [[Poly.monomial(spec, i + s), Poly.zero(spec)],
+            [theta.num.shift(s - e), Poly.monomial(spec, j + s)]], d
+
+
 def _quotient(rec: OrderRecord):
     """_twisted_quotient of the record: (N, D, first failing position or None)."""
-    return _twisted_quotient(family_matrix(rec.family, rec.theta.spec), theta_for_record(rec))
+    return _twisted_quotient(_family_form(rec.family, rec.theta.spec), _record_form(rec))
 
 
 def _witness(rec: OrderRecord) -> Witness | None:
@@ -513,7 +535,8 @@ def rank1_orders(b: RatFunc, i: int) -> Rank1Result:
         s = -(int(b.val) // (p - 1))
         b_norm = b * RatFunc.pi_power(spec, (p - 1) * s)
     theta = RatFunc.pi_power(spec, i)
-    N, D, pos = _twisted_quotient(Mat([[b_norm]]), Mat([[theta]]))
+    N, D, pos = _twisted_quotient(Mat([[b_norm]])._polynomial_form(),
+                                  Mat([[theta]])._polynomial_form())
     a = RatFunc(N[0][0], D)
     gen = _term(theta, "t")
     relation = f"u^{p} = {_factor(a)}*u"

@@ -20,6 +20,7 @@ valuation dominates the valuation of every entry to its left.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .fields import FqElem
 from .matrix import Mat, SingularMatrixError, Witness, _bareiss, _matmul, _solve
@@ -157,20 +158,22 @@ def presentation_from_matrix(A: Mat) -> Presentation:
     return Presentation(A, _default_gens("u", A.n))
 
 
-def _twisted_quotient(B: Mat, theta: Mat
+def _twisted_quotient(B: tuple[Sequence[Sequence[Poly]], Poly],
+                      theta: tuple[Sequence[Sequence[Poly]], Poly]
                       ) -> tuple[list[list[Poly]], Poly, tuple[int, int] | None]:
     """The integrality test behind order_from_theta, the family oracle and
-    rank1_orders, for an integral B of Theta's size and spec (the callers'
-    duty): (N, D, pos), A = Theta^{-1} B Theta^(p) = N / D, pos the 0-based
-    (row, col) of the first entry of A in row-major order with ord(N_ij) <
-    ord(D), None if A is integral; _witness_at builds its Witness on demand.
-    With Theta = M / d and B = B' / b over F_q[T], N = adj(M) B' M^(p) and D =
-    det M * b * d^(p-1), with d^(p-1) = d^(p) / d so that every twist is bounded
-    by MAX_TWIST_DEGREE; no division in K happens before the verdict."""
-    M, d = theta._polynomial_form()
-    Bm, b = B._polynomial_form()
+    rank1_orders, on the polynomial forms B = (Bm, b) and theta = (M, d) of an
+    integral B = Bm / b of Theta's size and spec and of Theta = M / d over
+    F_q[T] (the callers' duty; Mat._polynomial_form gives both): (N, D, pos),
+    A = Theta^{-1} B Theta^(p) = N / D, pos the 0-based (row, col) of the
+    first entry of A in row-major order with ord(N_ij) < ord(D), None if A is
+    integral; _witness_at builds its Witness on demand.  N = adj(M) Bm M^(p)
+    and D = det M * b * d^(p-1), with d^(p-1) = d^(p) / d so that every twist
+    is bounded by MAX_TWIST_DEGREE; no division in K happens before the
+    verdict."""
+    (Bm, b), (M, d) = B, theta
     twisted = [[x.pth_power() for x in row] for row in M]
-    N, det = _solve(M, _matmul(Bm, twisted, Poly.zero(theta.spec)))
+    N, det = _solve(M, _matmul(Bm, twisted, Poly.zero(d.spec)))
     D = det * b * (d.pth_power() // d)
     ord_D = D.ord
     for i, row in enumerate(N):
@@ -201,7 +204,7 @@ def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
         raise ValueError(f"B must be integral: {res.witness}")
     if B.n != theta.n or B.spec != theta.spec:
         raise ValueError("B and Theta must have equal size over one field spec")
-    N, D, pos = _twisted_quotient(B, theta)
+    N, D, pos = _twisted_quotient(B._polynomial_form(), theta._polynomial_form())
     if pos is not None:
         raise NotIntegralError(_witness_at(N, D, pos))
     A = Mat([[RatFunc(x, D) for x in row] for row in N])

@@ -355,7 +355,8 @@ def test_walk_matches_the_object_oracle_on_random_b(spec, depth):
                 held = _held(spec, depth, _walk.cylinders(B, i, j, depth))
                 for row, cyl in held.items():
                     rec = _record_from_row(Family.ALPHA_P_N, spec, row, i, j, depth)
-                    verdict = _twisted_quotient(B, theta_for_record(rec))[2] is None
+                    forms = B._polynomial_form(), theta_for_record(rec)._polynomial_form()
+                    verdict = _twisted_quotient(*forms)[2] is None
                     assert verdict == cyl[2], (B.rows, rec.to_json())
 
 

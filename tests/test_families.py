@@ -8,8 +8,9 @@ import tracemalloc
 import pytest
 
 from hopforders.families import (MAX_SWEEP_CELLS, MAX_SWEEP_POINTS,
-                                 Family, OrderRecord, _record_from_row,
-                                 _witness, alpha_p2_loose_predicate, canonical_theta,
+                                 Family, OrderRecord, _family_form, _record_form,
+                                 _record_from_row, _witness, alpha_p2_loose_predicate,
+                                 canonical_theta,
                                  default_depth, enumerate_orders, family_matrix,
                                  oracle_check_family, oracle_is_order, predicate,
                                  rank1_orders, theta_for_record)
@@ -200,6 +201,34 @@ def test_theta_for_record():
     r3 = rec(Family.ALPHA_P2, F2, 1, 2, pi(F2, 2))
     assert theta_for_record(r3) == Mat([[pi(F2), RatFunc.zero(F2)],
                                         [pi(F2, 2), pi(F2, 2)]])
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F9], ids=["F2", "F3", "F4", "F5", "F9"])
+def test_record_form_equals_the_mat_path(spec):
+    """The oracle reads each record's M / d off (i, j, theta): on every row of
+    the depth-2 cells with i, j in -2..3 it is the polynomial form of
+    theta_for_record, for each preset's records."""
+    for family in Family:
+        for i, j in itertools.product(range(-2, 4), repeat=2):
+            if family is Family.ZP_SQUARED and (i < 0 or j < 0):
+                continue
+            for row in range(spec.q ** 2):
+                record = _record_from_row(family, spec, row, i, j, 2)
+                assert _record_form(record) == theta_for_record(record)._polynomial_form(), \
+                    record.to_json()
+
+
+def test_family_form_is_shared_and_unchanged_by_a_sweep():
+    """The oracle's B form is built once per (family, spec), as tuples, and an
+    agreement sweep leaves it equal to a fresh polynomial form of B."""
+    for family in Family:
+        Bm, b = _family_form(family, F3)
+        assert _family_form(family, F3) is _family_form(family, F3)
+        assert isinstance(Bm, tuple) and all(isinstance(row, tuple) for row in Bm)
+        assert oracle_check_family(family, F3, range(0, 3), range(0, 3), depth=2,
+                                   predicate_fn=predicate).all_agree
+        fresh, fresh_b = family_matrix(family, F3)._polynomial_form()
+        assert _family_form(family, F3) == (tuple(map(tuple, fresh)), fresh_b)
 
 
 # -- oracle and predicates --
@@ -442,6 +471,22 @@ def test_huge_record_t_powers_end_in_a_clean_error():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert seconds < 0.5 and peak < 16 * 2 ** 20, (fn.__name__, record.i, seconds, peak)
+
+
+def test_past_limit_records_raise_the_degree_of_their_exponent():
+    """The oracle refuses a record with i or j = +-10^8 by the degree 10^8 of
+    that exponent, before it builds any T-power past MAX_TWIST_DEGREE."""
+    records = [OrderRecord(Family.ALPHA_P2, 2, -10 ** 8, 0, one(F2)),
+               OrderRecord(Family.MONO_P2, 2, -10 ** 8, 2, one(F2) + pi(F2)),
+               OrderRecord(Family.ALPHA_P2, 2, 0, 10 ** 8, one(F2) + pi(F2))]
+    text = "a polynomial of degree 100000000 exceeds the limit MAX_TWIST_DEGREE = 65536"
+    for record in records:
+        tracemalloc.start()
+        with pytest.raises(ValueError) as info:
+            oracle_is_order(record)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert str(info.value) == text and peak < 16 * 2 ** 20, (record.to_json(), peak)
 
 
 def test_family_matrix_shared_per_family_and_spec():
