@@ -90,9 +90,10 @@ def _laurent(spec: FieldSpec, e: int, codes: list[int]) -> RatFunc:
 
 def canonical_theta(theta: RatFunc, j: int) -> RatFunc:
     """Reduce theta mod T^j: T^j itself when v(theta) = j, otherwise the
-    truncation of the T-adic expansion to exponents [v(theta), j).  When
-    theta is not a Laurent polynomial its expansion never ends, so j - v(theta)
-    may not exceed MAX_DEGREE."""
+    truncation of the T-adic expansion to exponents [v(theta), j), which is
+    theta itself (the same object) when theta is a Laurent polynomial already
+    inside that range.  When theta is not a Laurent polynomial its expansion
+    never ends, so j - v(theta) may not exceed MAX_DEGREE."""
     spec = theta.spec
     v = theta.val
     if v == INF or v > j:
@@ -103,7 +104,7 @@ def canonical_theta(theta: RatFunc, j: int) -> RatFunc:
     nu = theta.num.codes[int(theta.num.ord):]
     de = theta.den.codes[int(theta.den.ord):]
     if len(de) == 1:            # a T-power denominator: theta = T^v * nu, truncate nu
-        return _laurent(spec, v, list(nu[:n]))
+        return theta if len(nu) <= n else _laurent(spec, v, list(nu[:n]))
     if n > MAX_DEGREE:
         raise ValueError(f"the truncation of a non-Laurent theta to j - v(theta) = {n} "
                          f"terms exceeds the limit MAX_DEGREE = {MAX_DEGREE}")

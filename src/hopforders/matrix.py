@@ -87,9 +87,18 @@ def _bareiss(work: list[list[Poly]]) -> tuple[int, Poly | None, int]:
 
 def _solve(M: list[list[Poly]], Y: Sequence[Sequence[Poly]]) -> tuple[list[list[Poly]], Poly]:
     """(s * adj M * Y, s * det M) for a square M over F_q[T] and a Y with as
-    many rows, s = +-1, by one elimination of [M | Y]; SingularMatrixError
-    when det M = 0."""
+    many rows, s = +-1: for n = 2 from adj M = [[d, -b], [-c, a]] in closed
+    form (s = 1), otherwise by one elimination of [M | Y];
+    SingularMatrixError when det M = 0."""
     n = len(M)
+    if n == 2:
+        # subtraction, not Poly.__neg__: its tuple(map(...)) cost agree_p2 about 1 MB of peak RSS
+        (a, b), (c, d) = M
+        det = a * d - b * c
+        if not det:
+            raise SingularMatrixError("matrix is singular over K")
+        cols = list(zip(*Y))
+        return [[d * y0 - b * y1 for y0, y1 in cols], [a * y1 - c * y0 for y0, y1 in cols]], det
     work = [list(m) + list(y) for m, y in zip(M, Y)]
     rank, det, _ = _bareiss(work)
     if rank < n:

@@ -1,11 +1,14 @@
 """Canonical-form invariants under arbitrary operation sequences (hypothesis)."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopforders.families import canonical_theta
 from hopforders.ratfunc import INF, Poly, RatFunc, poly_gcd
 
-from helpers import F2, F3, F4
+from helpers import F2, F3, F4, F9, pi, rand_fq
 
 
 def polys(spec, max_deg=4):
@@ -70,3 +73,32 @@ def test_gcd_properties(data):
     q1 = a.divmod(g)[0]
     q2 = b.divmod(g)[0]
     assert poly_gcd(q1, q2).degree == 0
+
+
+def test_canonical_theta_keeps_a_canonical_laurent_theta():
+    """A theta = T^v * nu with len(nu) <= j - v is returned as the same
+    object; a longer one, and c * T^j for c != 1, equal the term-by-term
+    truncation to exponents [v, j), T^j when v = j."""
+    rng = random.Random("canonical-laurent")
+    kept = cut = 0
+    for spec in (F2, F3, F4, F9):
+        for _ in range(60):
+            v = rng.randrange(-4, 5)
+            codes = [rand_fq(rng, spec) for _ in range(rng.randrange(1, 6))]
+            codes[0] = codes[0] or spec.element(1)
+            codes[-1] = codes[-1] or spec.element(1)
+            terms = [RatFunc.constant(spec, c) * pi(spec, v + d) for d, c in enumerate(codes)]
+            theta = sum(terms[1:], terms[0])
+            j = v + rng.randrange(1, len(codes) + 3)
+            got = canonical_theta(theta, j)
+            if len(codes) <= j - v:
+                assert got is theta
+                kept += 1
+            else:
+                assert got is not theta
+                assert got == sum(terms[1:j - v], terms[0])
+                cut += 1
+            c = rand_fq(rng, spec)
+            if c and c != 1:
+                assert canonical_theta(RatFunc.constant(spec, c) * pi(spec, j), j) == pi(spec, j)
+    assert kept and cut

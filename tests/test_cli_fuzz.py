@@ -122,3 +122,11 @@ def test_every_argv_ends_in_a_verdict_or_a_clean_error(argv):
     seconds = time.perf_counter() - start
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert seconds < SECONDS + sum(allowance), (argv, seconds, sum(allowance))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=argvs())
+def test_every_argv_ends_in_a_verdict_or_a_clean_error_at_a_pinned_seed(argv):
+    """The same argv strategy and time allowance at a seed fixed by this
+    test's source: every run draws the same argv, so a failure reproduces."""
+    test_every_argv_ends_in_a_verdict_or_a_clean_error.hypothesis.inner_test(argv)

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from hopforders.matrix import Mat, SingularMatrixError
-from hopforders.ratfunc import RatFunc
+from hopforders.matrix import Mat, SingularMatrixError, _bareiss, _solve
+from hopforders.ratfunc import Poly, RatFunc
 
 from helpers import (F2, F3, F4, F5, F9, cofactor_inverse, deficient, leibniz_det,
-                     pi, rand_integral_mat, rand_invertible, rand_mat, rand_ratfunc,
+                     pi, rand_integral_mat, rand_invertible, rand_mat, rand_poly, rand_ratfunc,
                      rand_unit_matrix)
 
 
@@ -211,3 +211,42 @@ def test_det_sign_follows_row_swaps():
     assert Mat(rows).det() == leibniz_det(rows, zero) == -t
     rows = [[zero, t, zero], [zero, zero, one], [one, zero, zero]]
     assert Mat(rows).det() == leibniz_det(rows, zero) == t
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9])
+def test_closed_2x2_solve_equals_the_elimination(spec):
+    """_solve's closed 2x2 adjugate against _bareiss on [M | Y]: N and det
+    agree up to one common sign, and a singular M raises the same error."""
+    rng = random.Random(f"solve-2x2-{spec.q}")
+    zero = Poly.zero(spec)
+
+    def entry():
+        return zero if rng.random() < 0.25 else rand_poly(rng, spec, 3)
+
+    swaps = singular = 0
+    for trial in range(60):
+        M = [[entry(), entry()], [entry(), entry()]]
+        if trial % 6 == 0:
+            M[0][0] = zero                              # Bareiss swaps rows
+        elif trial % 6 == 1:
+            c = rand_poly(rng, spec, 1)
+            M[1] = [c * x for x in M[0]]                # singular
+        Y = [[entry() for _ in range(trial % 5)] for _ in range(2)]
+        work = [list(m) + list(y) for m, y in zip(M, Y)]
+        rank, det, swapped = _bareiss(work)
+        if rank < 2:
+            singular += 1
+            with pytest.raises(SingularMatrixError, match="^matrix is singular over K$"):
+                _solve(M, Y)
+            continue
+        N, D = _solve(M, Y)
+        s = 1 if D == det else -1
+        assert D == (det if s == 1 else -det)
+        assert N == [[x if s == 1 else -x for x in row[2:]] for row in work]
+        swaps += swapped
+    assert swaps and singular
+    for trial in range(20):
+        x = rand_invertible(rng, spec, 2)
+        if trial % 2 and x[0, 1] and x[1, 0]:      # a zero (1,1) entry: invertible still
+            x = Mat([[RatFunc.zero(spec), x[0, 1]], [x[1, 0], x[1, 1]]])
+        assert x @ x.inv() == Mat.identity(spec, 2)
