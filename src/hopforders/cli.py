@@ -154,7 +154,11 @@ def _cmd_enumerate(args, spec) -> int:
     B = family_matrix(family, spec)
     payload = []
     for rec in records:
-        fibre = special_fibre(order_from_theta(B, theta_for_record(rec)).A)
+        try:
+            A = order_from_theta(B, theta_for_record(rec)).A
+        except NotIntegralError:        # a listed row that no spot check re-decided
+            raise BatchMismatchError(rec, [False, None], [True, None])
+        fibre = special_fibre(A)
         if args.json:
             payload.append({**rec.to_json(), "fibre": fibre.to_json()})
         else:

@@ -358,7 +358,12 @@ class AgreementReport:
 
 
 class BatchMismatchError(RuntimeError):
-    """The cylinder walk disagreed with the object-level path (a bug)."""
+    """The cylinder walk disagreed with the object-level path (a bug): the
+    (oracle, predicate) verdicts of each path at one record."""
+
+    def __init__(self, rec, objects, batch):
+        super().__init__(f"batch/object mismatch at {rec.to_json()}: (oracle, "
+                         f"predicate) = {objects} object, {batch} batch")
 
 
 def _sample_rows(n: int, spot: int, seed_parts) -> list[int]:
@@ -448,8 +453,7 @@ def _sweep(family, spec, i_range, j_range, depth, form, checks):
             batch = next(walk[key] for key in ((k, row % q ** k) for k in range(depth + 1))
                          if key in walk)
             if verdicts != batch:
-                raise BatchMismatchError(f"batch/object mismatch at {rec.to_json()}: (oracle, "
-                                         f"predicate) = {verdicts} object, {batch} batch")
+                raise BatchMismatchError(rec, verdicts, batch)
             decided[row] = (rec, *verdicts)
         # with no predicate, a row not sampled is one the walk's oracle accepts
         found += [decided.get(row) or (record(row), True, None) for row in disputed]
@@ -536,8 +540,7 @@ def rank1_orders(b: RatFunc, i: int) -> Rank1Result:
         s = -(int(b.val) // (p - 1))
         b_norm = b * RatFunc.pi_power(spec, (p - 1) * s)
     theta = RatFunc.pi_power(spec, i)
-    N, D, pos = _twisted_quotient(Mat([[b_norm]])._polynomial_form(),
-                                  Mat([[theta]])._polynomial_form())
+    N, D, pos = _twisted_quotient(([[b_norm.num]], b_norm.den), ([[theta.num]], theta.den))
     a = RatFunc(N[0][0], D)
     gen = _term(theta, "t")
     relation = f"u^{p} = {_factor(a)}*u"

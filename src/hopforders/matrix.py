@@ -74,11 +74,7 @@ def _bareiss(work: list[list[Poly]]) -> tuple[int, Poly | None, int]:
             if i == rank:
                 continue
             f = row[col]
-            # kept on purpose: without this branch agree_p2 points_per_s fell about 9%
-            if f:
-                new = [piv * x - f * y for x, y in zip(row[col + 1:], right)]
-            else:
-                new = [piv * x for x in row[col + 1:]]
+            new = [piv * x - f * y for x, y in zip(row[col + 1:], right)]
             row[col + 1:] = new if prev is None else [x // prev for x in new]
         prev = piv
         rank += 1
@@ -125,13 +121,11 @@ def _matmul(X: Sequence[Sequence], Y: Sequence[Sequence], zero) -> list[list]:
 
 
 def _lcm(a: Poly, b: Poly) -> Poly:
-    """Monic lcm of monic a and b; of two T-powers without a gcd."""
+    """Monic lcm of monic a and b."""
     if b.is_one() or a == b:
         return a
     if a.is_one():
         return b
-    if a.ord == a.degree and b.ord == b.degree:
-        return a if a.degree >= b.degree else b
     return a * (b // poly_gcd(a, b))
 
 
@@ -209,12 +203,7 @@ class Mat:
         for row in self.rows:
             for x in row:
                 d = _lcm(d, x.den)
-        cofactors = {}                      # d // den, once per distinct denominator
-        for row in self.rows:
-            for x in row:
-                if x.den.codes not in cofactors:
-                    cofactors[x.den.codes] = d // x.den
-        return [[x.num * cofactors[x.den.codes] for x in row] for row in self.rows], d
+        return [[x.num * (d // x.den) for x in row] for row in self.rows], d
 
     def det(self) -> RatFunc:
         """Exact determinant det M / d^n for self = M / d, by fraction-free

@@ -139,7 +139,8 @@ class Poly:
         return Poly._trimmed(self.spec, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        # kept, as is _Arith.sub: self + -other here was 2-3x slower and cost theta_stream 8%
+        # kept, as is _Arith.sub: self + -other here cost agree_p2 about 7%, theta_stream 5%
+        # and enum_deep 3%
         try:
             a, b = self.codes, other.codes
         except AttributeError:

@@ -533,9 +533,9 @@ def test_sweeps_run_without_numpy():
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "from hopforders.cli import main\n"
-        "for command in ('enumerate', 'oracle-check'):\n"
-        "    assert main([command, '--family', 'mono_p2', '--field', 'p=3;k=2;mod=a^2+1',\n"
-        "                 '--i', '0..1', '--j', '0..1', '--depth', '3', '--json']) == 0\n"
+        "for command in (['enumerate', '--json'], ['oracle-check', '--json'], ['oracle-check']):\n"
+        "    assert main(command + ['--family', 'mono_p2', '--field', 'p=3;k=2;mod=a^2+1',\n"
+        "                           '--i', '0..1', '--j', '0..1', '--depth', '3']) == 0\n"
     )
     env = {"PYTHONPATH": str(Path(hopforders.__file__).parents[1]), "PATH": ""}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -590,6 +590,37 @@ def test_batch_mismatch_exits_3(capsys, monkeypatch, command, row):
     monkeypatch.setattr(_walk, "cylinders", flipped)
     code = main([command, "--family", "alpha_p2", "--field", "p=2",
                  "--i", "0", "--j", "0", "--depth", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: batch/object mismatch")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_enumerate_of_an_unsampled_walk_fault_exits_3(capsys, monkeypatch):
+    """enumerate re-runs order_from_theta on every listed record, so a row
+    the walk wrongly accepts but no spot check re-decided ends in the same
+    internal error, exit 3, not in a traceback."""
+    from hopforders import _walk
+    from hopforders.families import ENUM_SPOT_CHECKS, _sample_rows, family_matrix
+    walk = _walk.cylinders
+    depth, q = 6, 2
+    n = q ** depth
+    verdict = {}
+    for k, base, orc, _ in walk(family_matrix(Family.ALPHA_P2, F2), 0, 0, depth, None):
+        verdict.update(dict.fromkeys(range(base, n, q ** k), orc))
+    sampled = {0, *_sample_rows(n, ENUM_SPOT_CHECKS, ("alpha_p2", 2, 0, 0, depth, "enum"))}
+    row = next(r for r in range(n) if r not in sampled and not verdict[r])
+
+    def flipped(B, *args):
+        # one cylinder per row, the chosen row's oracle verdict flipped
+        return [(depth, r, orc != (r == row), prd) for k, base, orc, prd in walk(B, *args)
+                for r in range(base, n, q ** k)]
+
+    monkeypatch.setattr(_walk, "cylinders", flipped)
+    code = main(["enumerate", "--family", "alpha_p2", "--field", "p=2",
+                 "--i", "0", "--j", "0", "--depth", str(depth), "--json"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

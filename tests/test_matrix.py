@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hopforders.matrix import Mat, SingularMatrixError, _bareiss, _solve
-from hopforders.ratfunc import Poly, RatFunc
+from hopforders.ratfunc import Poly, RatFunc, poly_gcd
 
 from helpers import (F2, F3, F4, F5, F9, cofactor_inverse, deficient, leibniz_det,
                      pi, rand_integral_mat, rand_invertible, rand_mat, rand_poly, rand_ratfunc,
@@ -250,3 +250,39 @@ def test_closed_2x2_solve_equals_the_elimination(spec):
         if trial % 2 and x[0, 1] and x[1, 0]:      # a zero (1,1) entry: invertible still
             x = Mat([[RatFunc.zero(spec), x[0, 1]], [x[1, 0], x[1, 1]]])
         assert x @ x.inv() == Mat.identity(spec, 2)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
+def test_polynomial_form_contract(spec):
+    """Mat._polynomial_form returns (M, d): d the monic lcm of the entry
+    denominators, folded here as a * b / gcd(a, b), and M_ij = num_ij *
+    (d / den_ij), so that M_ij / d is entry (i, j).  The denominators mix 1,
+    distinct and repeated T-powers, and general ones with and without a
+    factor of T."""
+    rng = random.Random(f"polynomial-form-{spec.q}")
+    one = Poly.one(spec)
+
+    def general():
+        g = rand_poly(rng, spec, 3, nonzero=True).monic()
+        while g.degree < 1:
+            g = rand_poly(rng, spec, 3, nonzero=True).monic()
+        return g if g.codes[0] else g + one     # no factor of T
+
+    for trial in range(36):
+        n = trial % 3 + 1
+        t_powers = [Poly.monomial(spec, e) for e in rng.sample(range(1, 5), 2)]
+        g = general()
+        dens = [one, *t_powers, t_powers[0], g, g, general() * Poly.monomial(spec, 2)]
+        m = Mat([[RatFunc(rand_poly(rng, spec, 3), rng.choice(dens)) for _ in range(n)]
+                 for _ in range(n)])
+        M, d = m._polynomial_form()
+        ref = one
+        for row in m.rows:
+            for x in row:
+                ref = ref * x.den // poly_gcd(ref, x.den)
+        assert d.is_monic() and d == ref
+        for row, m_row in zip(m.rows, M):
+            for x, y in zip(row, m_row):
+                assert (d % x.den).is_zero()
+                assert y == x.num * (d // x.den)
+                assert RatFunc(y, d) == x
