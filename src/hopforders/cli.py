@@ -18,11 +18,11 @@ import sys
 from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
-from .families import (BatchMismatchError, Family, enumerate_orders, family_matrix,
-                       oracle_check_family, rank1_orders, theta_for_record)
-from .orders import (NotIntegralError, ddl_normalize, embedding_generators,
-                     is_ddl, order_from_theta, presentation_from_matrix,
-                     same_order, special_fibre, verify_twisted_equation)
+from .families import (BatchMismatchError, Family, _quotient, enumerate_orders,
+                       oracle_check_family, rank1_orders)
+from .orders import (NotIntegralError, _integral_quotient, ddl_normalize, embedding_generators,
+                     is_ddl, order_from_theta, presentation_from_matrix, same_order,
+                     special_fibre, verify_twisted_equation)
 from .parse import ParseError, parse_element, parse_field_spec, parse_int, parse_matrix
 
 # The most characters an @file argument may hold.
@@ -151,11 +151,10 @@ def _cmd_enumerate(args, spec) -> int:
     family = _family_arg(args.family)
     records = enumerate_orders(family, spec, _parse_range(args.i),
                                _parse_range(args.j), depth=args.depth)
-    B = family_matrix(family, spec)
     payload = []
     for rec in records:
         try:
-            A = order_from_theta(B, theta_for_record(rec)).A
+            A = _integral_quotient(*_quotient(rec))
         except NotIntegralError:        # a listed row that no spot check re-decided
             raise BatchMismatchError(rec, [False, None], [True, None])
         fibre = special_fibre(A)

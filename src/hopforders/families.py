@@ -34,7 +34,7 @@ from .ratfunc import INF, Poly, RatFunc
 class Family(str, Enum):
     """The five rank-p^2 presets; the tag fixes B via family_matrix."""
 
-    ALPHA_P_N = "alpha_p_n"          # B = 0 (any n): Frobenius kernels' product
+    ALPHA_P_N = "alpha_p_n"          # B = 0: Frobenius kernels' product
     ALPHA_P2 = "alpha_p2"            # B = [[0,1],[0,0]]: second Frobenius kernel
     ZP_X_AP = "zp_x_ap"              # B = [[1,0],[0,0]]: etale x connected product
     ZP_SQUARED = "zp_squared"        # B = I: constant group scheme of order p^2
@@ -55,19 +55,10 @@ _FAMILY_B = {
 
 
 @functools.cache
-def family_matrix(family: Family, spec: FieldSpec, n: int | None = None) -> Mat:
-    """The matrix B of the family's ambient algebra: its preset for n = None
-    or 2, and for alpha_p_n alone the n x n zero matrix of any other n, n = 1
-    being the rank-p local B.  Every caller shares one immutable B per (family,
-    spec, n); the cache is unbounded, as eviction would split n = None from 2."""
-    if n is None:
-        return family_matrix(family, spec, 2)
-    family = Family(family)
-    if n == 2:
-        return Mat.from_ints(spec, _FAMILY_B[family])
-    if family is not Family.ALPHA_P_N:
-        raise ValueError(f"family {family} is 2x2 only")
-    return Mat.zeros(spec, n)
+def family_matrix(family: Family, spec: FieldSpec) -> Mat:
+    """The matrix B of the family's ambient algebra; every caller shares one
+    immutable B per (family, spec)."""
+    return Mat.from_ints(spec, _FAMILY_B[Family(family)])
 
 
 @functools.cache

@@ -192,6 +192,13 @@ def _witness_at(N: list[list[Poly]], D: Poly, pos: tuple[int, int] | None) -> Wi
     return Witness(i + 1, j + 1, entry.val, entry)
 
 
+def _integral_quotient(N: list[list[Poly]], D: Poly, pos: tuple[int, int] | None) -> Mat:
+    """A = N / D of _twisted_quotient's (N, D, pos); NotIntegralError at pos."""
+    if pos is not None:
+        raise NotIntegralError(_witness_at(N, D, pos))
+    return Mat([[RatFunc(x, D) for x in row] for row in N])
+
+
 def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
     """Construct the order determined by Theta inside the algebra with matrix B.
 
@@ -204,10 +211,7 @@ def order_from_theta(B: Mat, theta: Mat) -> OrderResult:
         raise ValueError(f"B must be integral: {res.witness}")
     if B.n != theta.n or B.spec != theta.spec:
         raise ValueError("B and Theta must have equal size over one field spec")
-    N, D, pos = _twisted_quotient(B._polynomial_form(), theta._polynomial_form())
-    if pos is not None:
-        raise NotIntegralError(_witness_at(N, D, pos))
-    A = Mat([[RatFunc(x, D) for x in row] for row in N])
+    A = _integral_quotient(*_twisted_quotient(B._polynomial_form(), theta._polynomial_form()))
     gens = _default_gens("u", A.n)
     return OrderResult(A, Embedding(theta, gens, _default_gens("t", A.n)), Presentation(A, gens))
 

@@ -104,9 +104,10 @@ def test_full_grid_predicate_twin_equivalence(spec, family):
 @pytest.mark.parametrize("spec, depth", [(F3, 8), (F2, 13)])
 @pytest.mark.parametrize("family", MATRIX_FAMILIES)
 def test_blocks_across_a_boundary_match_one_grid(spec, depth, family):
-    """A cell of more than 2^12 rows, 3^8 = 6561 over F_3: its cylinders
-    partition the rows, the oracle agrees with them on each side of row 2^12,
-    and the closed form's cylinders agree with `predicate` on every row."""
+    """A cell of more than 2^12 = EXHAUSTIVE_LIMIT rows (3^8 over F_3, 2^13
+    over F_2), so a sweep spot-checks it: one walk's cylinders partition the
+    rows, the oracle agrees with them on rows 0, 4095, 4096 and the last, and
+    the closed form's cylinders agree with `predicate` on every row."""
     n, i, j, B = spec.q ** depth, 2, 2, family_matrix(family, spec)
 
     def record(row):
@@ -137,9 +138,9 @@ def test_multi_block_sweep_json_bytes_are_pinned(command, capsys):
 
 
 def test_sweep_memory_does_not_grow_with_depth():
-    """A cell of 2^16 rows is decided in blocks: after a warm-up sweep, the
-    peak of traced allocations stays far below what the whole cell's columns
-    and products would take."""
+    """A cell of 2^16 rows is decided by the cylinder walk, whose memory
+    grows with its cylinders, not its rows: after a warm-up sweep, the peak
+    of traced allocations stays under 16 MB."""
     enumerate_orders(Family.MONO_P2, F2, [1], [1], depth=4)
     tracemalloc.start()
     try:

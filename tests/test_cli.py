@@ -629,6 +629,44 @@ def test_enumerate_of_an_unsampled_walk_fault_exits_3(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+# SHA-256 of the --json stdout of enumerate for zp_x_ap then mono_p2, each over
+# F_2 at depth 5 then F_4 at depth 3, with i, j in -1..2
+ENUMERATE_OBJECT_PATH_DIGEST = "0a6a784264a62d6ca111c4eb4909090e0006f825bfb704b0ff9e6bcb2844f9a2"
+
+
+def test_enumerate_decides_each_record_by_the_family_oracle(capsys, monkeypatch):
+    """enumerate reads each listed record's A off the family oracle's one
+    integrality test, run once per record beside the rows the sweep checks,
+    and builds no user-matrix pipeline."""
+    import hashlib
+
+    from hopforders import cli, families
+
+    def refused(*args):
+        raise AssertionError("enumerate called order_from_theta")
+
+    tests, checks = [], []
+    quotient, oracle = families._twisted_quotient, families.oracle_is_order
+    monkeypatch.setattr(cli, "order_from_theta", refused)
+    monkeypatch.setattr(families, "_twisted_quotient",
+                        lambda *forms: tests.append(forms) or quotient(*forms))
+    monkeypatch.setattr(families, "oracle_is_order",
+                        lambda rec: checks.append(rec) or oracle(rec))
+    digest = hashlib.sha256()
+    for family in ("zp_x_ap", "mono_p2"):
+        for field, depth in (("p=2", "5"), ("p=2;k=2;mod=a^2+a+1", "3")):
+            tests.clear()
+            checks.clear()
+            assert main(["enumerate", "--family", family, "--field", field,
+                         "--i=-1..2", "--j=-1..2", "--depth", depth, "--json"]) == 0
+            out = capsys.readouterr().out
+            digest.update(out.encode())
+            records = json.loads(out)
+            assert records and checks
+            assert len(tests) == len(records) + len(checks)
+    assert digest.hexdigest() == ENUMERATE_OBJECT_PATH_DIGEST
+
+
 HELP = {
     "same-order": """\
 usage: hopforders same-order [-h] --field FIELD --theta THETA --theta2 THETA2

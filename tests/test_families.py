@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from hopforders.families import (MAX_SWEEP_CELLS, MAX_SWEEP_POINTS,
-                                 Family, OrderRecord, _family_form, _record_form,
+                                 Family, OrderRecord, _family_form, _quotient, _record_form,
                                  _record_from_row, _witness, alpha_p2_loose_predicate,
                                  canonical_theta,
                                  default_depth, enumerate_orders, family_matrix,
@@ -16,7 +16,7 @@ from hopforders.families import (MAX_SWEEP_CELLS, MAX_SWEEP_POINTS,
                                  rank1_orders, theta_for_record)
 from hopforders.fields import FieldSpec
 from hopforders.matrix import Mat
-from hopforders.orders import NotIntegralError, order_from_theta, same_order
+from hopforders.orders import NotIntegralError, _integral_quotient, order_from_theta, same_order
 from hopforders.parse import MAX_DEGREE
 from hopforders.ratfunc import Poly, RatFunc
 
@@ -35,15 +35,11 @@ def one(spec):
 # -- family matrices --
 
 def test_family_matrices():
-    assert family_matrix(Family.ALPHA_P_N, F2, 2) == Mat.zeros(F2, 2)
-    assert family_matrix(Family.ALPHA_P_N, F2, 3) == Mat.zeros(F2, 3)
+    assert family_matrix(Family.ALPHA_P_N, F2) == Mat.zeros(F2, 2)
     assert family_matrix(Family.ZP_SQUARED, F3) == Mat.identity(F3, 2)
     assert family_matrix(Family.ALPHA_P2, F2) == Mat.from_ints(F2, [[0, 1], [0, 0]])
     assert family_matrix(Family.ZP_X_AP, F2) == Mat.from_ints(F2, [[1, 0], [0, 0]])
     assert family_matrix(Family.MONO_P2, F3) == Mat.from_ints(F3, [[0, 1], [1, 0]])
-    assert family_matrix(Family.ALPHA_P_N, F2, 1) == Mat.zeros(F2, 1)
-    with pytest.raises(ValueError):
-        family_matrix(Family.ALPHA_P2, F2, 3)
 
 
 # -- canonical records --
@@ -216,6 +212,20 @@ def test_record_form_equals_the_mat_path(spec):
                 record = _record_from_row(family, spec, row, i, j, 2)
                 assert _record_form(record) == theta_for_record(record)._polynomial_form(), \
                     record.to_json()
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=lambda s: f"F{s.q}")
+def test_listed_record_matrix_equals_the_mat_path(spec):
+    """enumerate reads a listed record's A as _integral_quotient(*_quotient(rec)):
+    for every record the five presets list at depth 2 with i, j in -2..2 it
+    is the A of order_from_theta on the family's B and theta_for_record."""
+    listed = 0
+    for family in Family:
+        for record in enumerate_orders(family, spec, range(-2, 3), range(-2, 3), depth=2):
+            expected = order_from_theta(family_matrix(family, spec), theta_for_record(record)).A
+            assert _integral_quotient(*_quotient(record)) == expected, record.to_json()
+            listed += 1
+    assert listed
 
 
 def test_family_form_is_shared_and_unchanged_by_a_sweep():
@@ -490,8 +500,7 @@ def test_past_limit_records_raise_the_degree_of_their_exponent():
 
 
 def test_family_matrix_shared_per_family_and_spec():
-    assert family_matrix(Family.MONO_P2, F3) is family_matrix(Family.MONO_P2, F3, 2)
-    assert family_matrix(Family.ALPHA_P_N, F2, 3) is family_matrix(Family.ALPHA_P_N, F2, 3)
+    assert family_matrix(Family.MONO_P2, F3) is family_matrix(Family.MONO_P2, F3)
     assert family_matrix(Family.MONO_P2, F3) is not family_matrix(Family.MONO_P2, F2)
 
 
@@ -631,7 +640,7 @@ def test_witness_matches_order_from_theta(spec):
         row = rng.randrange(spec.q ** 2)
         record = _record_from_row(family, spec, row, i, j, 2)
         try:
-            order_from_theta(family_matrix(family, spec, 2), theta_for_record(record))
+            order_from_theta(family_matrix(family, spec), theta_for_record(record))
             expected = None
         except NotIntegralError as exc:
             expected = exc.witness
