@@ -167,16 +167,23 @@ def _twisted_quotient(B: tuple[Sequence[Sequence[Poly]], Poly],
     F_q[T] (the callers' duty; Mat._polynomial_form gives both): (N, D, pos),
     A = Theta^{-1} B Theta^(p) = N / D, pos the 0-based (row, col) of the
     first entry of A in row-major order with ord(N_ij) < ord(D), None if A is
-    integral; _witness_at builds its Witness on demand.  N = adj(M) Bm M^(p)
+    integral; _witness_at builds its Witness on demand.  N = (adj(M) Bm) M^(p)
     and D = det M * b * d^(p-1), with d^(p-1) = d^(p) / d so that every twist
     is bounded by MAX_TWIST_DEGREE; no division in K happens before the
-    verdict."""
+    verdict.  N is built one row at a time and the test stops at the first
+    row that fails: on failure N holds rows 0..pos[0] only, so a caller may
+    read N[pos] but no later row.  Theta is twisted before M is eliminated, so
+    a twist past MAX_TWIST_DEGREE is refused before a singular Theta."""
     (Bm, b), (M, d) = B, theta
+    zero = Poly.zero(d.spec)
     twisted = [[x.pth_power() for x in row] for row in M]
-    N, det = _solve(M, _matmul(Bm, twisted, Poly.zero(d.spec)))
+    W, det = _solve(M, Bm)
     D = det * b * (d.pth_power() // d)
     ord_D = D.ord
-    for i, row in enumerate(N):
+    N = []
+    for i, w in enumerate(W):
+        row = _matmul([w], twisted, zero)[0]
+        N.append(row)
         for j, x in enumerate(row):
             if x and x.ord < ord_D:
                 return N, D, (i, j)

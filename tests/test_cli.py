@@ -599,9 +599,10 @@ def test_batch_mismatch_exits_3(capsys, monkeypatch, command, row):
 
 
 def test_enumerate_of_an_unsampled_walk_fault_exits_3(capsys, monkeypatch):
-    """enumerate re-runs order_from_theta on every listed record, so a row
-    the walk wrongly accepts but no spot check re-decided ends in the same
-    internal error, exit 3, not in a traceback."""
+    """enumerate decides every listed record again on the object path
+    (families._quotient, then orders._integral_quotient), so a row the walk
+    wrongly accepts but no spot check re-decided ends in the same internal
+    error, exit 3, not in a traceback."""
     from hopforders import _walk
     from hopforders.families import ENUM_SPOT_CHECKS, _sample_rows, family_matrix
     walk = _walk.cylinders

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from hopforders.fields import FieldSpec
-from hopforders.matrix import Mat, SingularMatrixError
-from hopforders.orders import (NotIntegralError, ddl_normalize,
+from hopforders.matrix import Mat, SingularMatrixError, _matmul, _solve
+from hopforders.orders import (NotIntegralError, _twisted_quotient, ddl_normalize,
                                embedding_generators, is_ddl, order_from_theta,
                                presentation_from_matrix, same_order,
                                scale_to_integral, special_fibre,
                                verify_twisted_equation)
-from hopforders.ratfunc import RatFunc
+from hopforders.ratfunc import Poly, RatFunc
 
 from helpers import (F2, F3, F4, F5, F9, deficient, minor_rank, pi, rand_fq,
                      rand_integral_mat, rand_invertible, rand_unit_matrix,
@@ -174,6 +174,55 @@ def test_order_from_theta_twist_degree_limit():
     with pytest.raises(NotIntegralError) as exc:
         order_from_theta(one, Mat([[pi(F, -1)]]))
     assert exc.value.witness.valuation == -65520
+
+
+def test_order_from_theta_twist_error_comes_before_singular():
+    """Theta is twisted before it is eliminated: a singular Theta whose twist
+    passes MAX_TWIST_DEGREE is refused for the twist, and a small singular
+    Theta is still reported singular."""
+    F = FieldSpec(65521)
+    B, one = Mat.identity(F, 2), RatFunc.one(F)
+    x = one + pi(F, 512)
+    with pytest.raises(ValueError, match="MAX_TWIST_DEGREE"):
+        order_from_theta(B, Mat([[x, x], [x, x]]))
+    with pytest.raises(SingularMatrixError, match=r"^matrix is singular over K$"):
+        order_from_theta(B, Mat([[one, one], [one, one]]))
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9], ids=lambda s: f"F{s.q}")
+def test_twisted_quotient_stops_at_the_first_failing_row(spec):
+    """_twisted_quotient builds N = (adj(M) Bm) M^(p) one row at a time and
+    stops at the first row that fails: pos and RatFunc(N[pos], D) give the
+    reference witness, a failing N holds rows 0..pos[0] only, and each row it
+    returns equals that row of adj(M) (Bm M^(p)).  The cases fail in the
+    first row, fail in a later row (B = I, Theta = diag(1, .., 1, 1/T)) and
+    are integral."""
+    rng = random.Random(f"row-by-row-{spec.q}")
+    zero = Poly.zero(spec)
+    failing_rows = set()
+    for n in (1, 2, 3):
+        later = Mat.diag([RatFunc.one(spec)] * (n - 1) + [pi(spec, -1)])
+        cases = [(B, theta) for _ in range(3) for B, theta in _reference_cases(rng, spec, n)]
+        for B, theta in cases + [(Mat.identity(spec, n), later)]:
+            (Bm, b), (M, d) = B._polynomial_form(), theta._polynomial_form()
+            N, D, pos = _twisted_quotient((Bm, b), (M, d))
+            full, _ = _solve(M, _matmul(Bm, [[x.pth_power() for x in row] for row in M], zero))
+            assert N == full[:len(N)]
+            if n > 1:
+                expected = reference_order(B, theta)
+            else:
+                a = B[0, 0] * theta[0, 0].pth_power() / theta[0, 0]
+                expected = Mat([[a]]) if a.val >= 0 else (1, 1, a.val, str(a))
+            if pos is None:
+                assert len(N) == n
+                assert Mat([[RatFunc(x, D) for x in row] for row in N]) == expected
+            else:
+                i, j = pos
+                entry = RatFunc(N[i][j], D)
+                assert len(N) == i + 1
+                assert (i + 1, j + 1, entry.val, str(entry)) == expected
+            failing_rows.add(None if pos is None else min(pos[0], 1))
+    assert failing_rows == {None, 0, 1}
 
 
 def test_verify_trivial():
